@@ -10,27 +10,17 @@ Measures, on the standard evaluation world:
   (ALT landmarks + bounded shared caches), still one query at a time:
   the single-query latency win;
 * **table oracle** — the engine config plus ``transition_oracle="table"``
-  and ``bidirectional=True``: matcher transitions served by batched
+  and ``shortest_path="bidi"``: matcher transitions served by batched
   many-to-many sweeps and residual pair routing by bidirectional ALT,
   sequential and under a forced 4-worker pool; settled-nodes-per-query
   quantifies the sweep-vs-per-pair reduction;
-* **CH engine** — ``shortest_path="ch"`` + ``transition_oracle="ch_buckets"``:
-  contraction-hierarchy point-to-point queries (stall-on-demand upward
-  searches joined through precomputed buckets) behind the same HRIS
-  workload; the contraction and bucket-warming time is reported
-  separately so the per-query numbers measure queries, not
-  preprocessing;
-* **point-to-point** — raw ``ch_shortest_path`` vs ``bidi_astar`` on
-  sampled node pairs of the scenario network: distances and paths must
-  be bit-identical, and the benchmark **exits non-zero if CH settles
-  more nodes than bidirectional ALT**;
 * **matcher preprocessing** — the workload the table oracle targets
   head-on: HMM map matching (the Sec. II-B preprocessing step) of long
   drives over a larger grid city, where candidate end nodes rarely
   repeat and the per-pair oracle pays one full Dijkstra table per
-  distinct source.  Matched through ``per_pair``, ``table`` and ``ch``
-  (bucket many-to-many) engines; outputs must be identical, and the
-  settled-node counts expose the many-to-many sweep saving directly;
+  distinct source.  Matched through ``per_pair`` and ``table`` engines;
+  outputs must be identical, and the settled-node counts expose the
+  many-to-many sweep saving directly;
 * **batch** — :meth:`HRIS.infer_routes_batch` over the whole query set
   with the requested worker count (the auto policy forks only on
   multi-core machines), plus the forced-pool time for transparency;
@@ -76,10 +66,10 @@ Every configuration must produce identical top-K routes and scores; the
 benchmark verifies this and records the outcome.  Per-configuration
 ``stats`` blocks are **snapshot deltas** taken around each timed run, so
 the counters attribute only that configuration's own work even when an
-engine has warmed caches (or built hierarchies) beforehand.  Results are written as
-JSON (default: ``BENCH_throughput.json`` at the repository root; smoke
-runs write under ``benchmarks/results/`` so CI never clobbers the
-committed numbers).
+engine has warmed caches beforehand.  Results are written as JSON
+(default: ``BENCH_throughput.json`` at the repository root; smoke runs
+write under ``benchmarks/results/`` so CI never clobbers the committed
+numbers).
 
 Usage::
 
@@ -143,8 +133,7 @@ def config_stats(hris, before):
     Each configuration's ``stats`` block must report only its own work:
     snapshotting before the run and reporting the delta keeps the
     per-config cache/settled counters honest even when the engine did
-    preparatory work (landmark tables, contraction, bucket warming)
-    before the timed region.
+    preparatory work (landmark tables) before the timed region.
     """
     return hris.engine.stats().delta(before).as_dict()
 
@@ -223,7 +212,7 @@ def main(argv=None) -> int:
     print(f"engine             sequential: {t_engine:.3f}s")
 
     # --- table oracle + bidirectional ALT: batched transitions ------------
-    table_cfg = HRISConfig(transition_oracle="table", bidirectional=True)
+    table_cfg = HRISConfig(transition_oracle="table", shortest_path="bidi")
     h_table = HRIS(scenario.network, scenario.archive, table_cfg)
     table_before = h_table.engine.stats()
     res_table, lat_table = time_sequential(h_table, queries)
@@ -244,82 +233,13 @@ def main(argv=None) -> int:
     t_tb = time.perf_counter() - t0
     print(f"table oracle batch workers={args.workers} (forced pool): {t_tb:.3f}s")
 
-    # --- contraction hierarchy: CH queries + bucket oracle ----------------
-    # Contraction and bucket completion are offline preprocessing (they
-    # are what `--ch-cache` persists), so they run — and are reported —
-    # outside the timed query region.
-    import numpy as np  # noqa: E402
-
-    from repro.roadnet.contraction import ch_shortest_path  # noqa: E402
-    from repro.roadnet.shortest_path import SearchStats, bidi_astar  # noqa: E402
-
-    ch_cfg = HRISConfig(shortest_path="ch", transition_oracle="ch_buckets")
-    h_ch = HRIS(scenario.network, scenario.archive, ch_cfg)
-    t0 = time.perf_counter()
-    hierarchy = h_ch.engine.hierarchy  # contraction happens here
-    t_ch_contract = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    hierarchy.prepare_for_fork()  # complete every backward bucket up front
-    t_ch_buckets = time.perf_counter() - t0
-    ch_before = h_ch.engine.stats()
-    res_ch, lat_ch = time_sequential(h_ch, queries)
-    t_ch = sum(lat_ch)
-    ch_stats = config_stats(h_ch, ch_before)
-    print(
-        f"ch engine          sequential: {t_ch:.3f}s  "
-        f"settled {ch_stats['settled_nodes']:.0f} nodes "
-        f"({ch_stats['ch_stalls']:.0f} stalls, "
-        f"{ch_stats['sweeps']:.0f} sweeps)  "
-        f"[contraction {t_ch_contract:.3f}s + buckets {t_ch_buckets:.3f}s, "
-        f"{hierarchy.num_shortcuts} shortcuts]"
-    )
-
-    # --- point-to-point: raw CH query vs bidirectional ALT ----------------
-    # The acceptance gate for the CH tier: on sampled node pairs the CH
-    # query must return bit-identical (distance, path) AND settle no more
-    # nodes than bidirectional ALT.  The benchmark exits non-zero if CH
-    # settles more.
-    n_pairs = 12 if args.smoke else 60
-    node_ids = sorted(n.node_id for n in scenario.network.nodes())
-    pair_rng = np.random.default_rng(23)
-    pairs = [
-        (node_ids[int(a)], node_ids[int(b)])
-        for a, b in (
-            pair_rng.choice(len(node_ids), size=2, replace=False)
-            for __ in range(n_pairs)
-        )
-    ]
-    alt_landmarks = h_engine.engine.landmarks
-    bidi_st = SearchStats()
-    t0 = time.perf_counter()
-    res_p2p_bidi = [
-        bidi_astar(scenario.network, s, t, landmarks=alt_landmarks, stats=bidi_st)
-        for s, t in pairs
-    ]
-    t_p2p_bidi = time.perf_counter() - t0
-    ch_st = SearchStats()
-    t0 = time.perf_counter()
-    res_p2p_ch = [
-        ch_shortest_path(
-            scenario.network, hierarchy, s, t, landmarks=alt_landmarks, stats=ch_st
-        )
-        for s, t in pairs
-    ]
-    t_p2p_ch = time.perf_counter() - t0
-    p2p_identical = res_p2p_ch == res_p2p_bidi
-    ch_settles_fewer = ch_st.settled <= bidi_st.settled
-    print(
-        f"point-to-point ({n_pairs} pairs): "
-        f"bidi-ALT {t_p2p_bidi:.3f}s ({bidi_st.settled} settled)  "
-        f"ch {t_p2p_ch:.3f}s ({ch_st.settled} settled, {ch_st.stalls} stalls)  "
-        f"({'OK' if ch_settles_fewer else 'FAIL: CH settled more than bidi-ALT'})"
-    )
-
-    # --- matcher preprocessing: per-pair vs table vs ch buckets -----------
+    # --- matcher preprocessing: per-pair vs table -------------------------
     # The standard scenario's network is small enough that the per-pair
     # oracle's LRU amortises its full tables across queries; map-matching
     # long drives on a larger grid is where distinct sources dominate and
     # the many-to-many sweeps actually change the wall clock.
+    import numpy as np  # noqa: E402
+
     from repro.mapmatching.hmm import HMMConfig, HMMMatcher  # noqa: E402
     from repro.roadnet.engine import EngineConfig, RoutingEngine  # noqa: E402
     from repro.roadnet.generators import GridCityConfig, grid_city  # noqa: E402
@@ -355,25 +275,19 @@ def main(argv=None) -> int:
     matcher_outputs = {}
     for kind, eng_cfg in (
         ("per_pair", EngineConfig()),
-        ("table", EngineConfig(transition_oracle="table", bidirectional=True)),
-        ("ch", EngineConfig(shortest_path="ch", transition_oracle="ch_buckets")),
+        ("table", EngineConfig(transition_oracle="table", shortest_path="bidi")),
     ):
         eng = RoutingEngine(match_city, eng_cfg)
-        t0 = time.perf_counter()
-        eng.hierarchy  # contraction for the ch kind (None for the others)
-        t_pre = time.perf_counter() - t0
         matcher = HMMMatcher(match_city, HMMConfig(), engine=eng)
         t0 = time.perf_counter()
         matched = [matcher.match(t) for t in match_trajs]
         t_kind = time.perf_counter() - t0
         eng_st = eng.stats()
         matcher_rows[kind] = {
-            "preprocess_s": round(t_pre, 4),
             "total_s": round(t_kind, 4),
             "settled_nodes": eng_st.settled_nodes,
             "sweeps": eng_st.sweeps,
             "fallback_searches": eng_st.fallback_searches,
-            "ch_stalls": eng_st.ch_stalls,
         }
         matcher_outputs[kind] = [
             (
@@ -386,26 +300,13 @@ def main(argv=None) -> int:
         ]
     t_match_pp = matcher_rows["per_pair"]["total_s"]
     t_match_tb = matcher_rows["table"]["total_s"]
-    t_match_ch = matcher_rows["ch"]["total_s"]
-    # "Beats" on matcher preprocessing is gated on settled nodes — the
-    # metric the table oracle's own win over per-pair is quoted in.  The
-    # flat table's per-pop constant is smaller (no shortcut unpacking, no
-    # re-accumulation), so its wall clock stays competitive on small
-    # grids; the bucket join must do strictly less *search work*.
-    matcher_ch_settles_fewer = (
-        matcher_rows["ch"]["settled_nodes"] <= matcher_rows["table"]["settled_nodes"]
-    )
     print(
         f"matcher preprocessing ({match_nodes}-node grid, "
         f"{sum(len(t) for t in match_trajs)} points): "
         f"per_pair {t_match_pp:.3f}s "
         f"({matcher_rows['per_pair']['settled_nodes']} settled)  "
         f"table {t_match_tb:.3f}s "
-        f"({matcher_rows['table']['settled_nodes']} settled)  "
-        f"ch {t_match_ch:.3f}s "
-        f"({matcher_rows['ch']['settled_nodes']} settled, "
-        f"contraction {matcher_rows['ch']['preprocess_s']:.3f}s)  "
-        f"({'OK' if matcher_ch_settles_fewer else 'FAIL: ch buckets settled more than the table'})"
+        f"({matcher_rows['table']['settled_nodes']} settled)"
     )
 
     # --- batch: workers=1 then the requested worker count -----------------
@@ -905,11 +806,7 @@ def main(argv=None) -> int:
         "engine_vs_seed": result_keys(res_engine) == ref,
         "table_oracle_vs_seed": result_keys(res_table) == ref,
         "table_oracle_batch_vs_seed": result_keys(res_tb) == ref,
-        "ch_vs_seed": result_keys(res_ch) == ref,
-        "p2p_ch_vs_bidi": p2p_identical,
         "matcher_table_vs_per_pair": matcher_outputs["table"]
-        == matcher_outputs["per_pair"],
-        "matcher_ch_vs_per_pair": matcher_outputs["ch"]
         == matcher_outputs["per_pair"],
         "batch1_vs_seed": result_keys(res_b1) == ref,
         "batch_vs_seed": result_keys(res_bn) == ref,
@@ -973,59 +870,16 @@ def main(argv=None) -> int:
             ),
             "stats": table_stats,
         },
-        "engine_ch": {
-            "total_s": round(t_ch, 4),
-            "mean_latency_s": round(t_ch / len(queries), 4),
-            "contraction_s": round(t_ch_contract, 4),
-            "bucket_warm_s": round(t_ch_buckets, 4),
-            "num_shortcuts": hierarchy.num_shortcuts,
-            "settled_nodes_per_query": round(
-                ch_stats["settled_nodes"] / len(queries), 2
-            ),
-            "settled_reduction_vs_table_oracle": round(
-                table_stats["settled_nodes"]
-                / max(1.0, ch_stats["settled_nodes"]),
-                3,
-            ),
-            "speedup_vs_table_oracle": round(t_table / t_ch, 3),
-            "stats": ch_stats,
-        },
-        "point_to_point": {
-            "pairs": len(pairs),
-            "bidi_alt": {
-                "total_s": round(t_p2p_bidi, 4),
-                "settled_nodes": bidi_st.settled,
-            },
-            "ch": {
-                "total_s": round(t_p2p_ch, 4),
-                "settled_nodes": ch_st.settled,
-                "stalls": ch_st.stalls,
-            },
-            "identical": p2p_identical,
-            "ch_settles_fewer": ch_settles_fewer,
-            "settled_reduction_ch_vs_bidi": round(
-                bidi_st.settled / max(1, ch_st.settled), 3
-            ),
-            "speedup_ch_vs_bidi": round(t_p2p_bidi / max(1e-9, t_p2p_ch), 3),
-        },
         "matcher_preprocessing": {
             "grid_nodes": match_nodes,
             "trajectories": len(match_trajs),
             "points": sum(len(t) for t in match_trajs),
             "per_pair": matcher_rows["per_pair"],
             "table": matcher_rows["table"],
-            "ch": matcher_rows["ch"],
             "speedup_table_vs_per_pair": round(t_match_pp / t_match_tb, 3),
             "settled_reduction_table_vs_per_pair": round(
                 matcher_rows["per_pair"]["settled_nodes"]
                 / max(1, matcher_rows["table"]["settled_nodes"]),
-                3,
-            ),
-            "speedup_ch_vs_table": round(t_match_tb / t_match_ch, 3),
-            "ch_settles_fewer": matcher_ch_settles_fewer,
-            "settled_reduction_ch_vs_table": round(
-                matcher_rows["table"]["settled_nodes"]
-                / max(1, matcher_rows["ch"]["settled_nodes"]),
                 3,
             ),
         },
@@ -1168,12 +1022,8 @@ def main(argv=None) -> int:
         "speedups": {
             "single_query_engine_vs_seed": round(t_seed / t_engine, 3),
             "single_query_table_oracle_vs_seed": round(t_seed / t_table, 3),
-            "single_query_ch_vs_seed": round(t_seed / t_ch, 3),
             "table_oracle_vs_engine_sequential": round(t_engine / t_table, 3),
-            "ch_vs_table_oracle": round(t_table / t_ch, 3),
-            "p2p_ch_vs_bidi_alt": round(t_p2p_bidi / max(1e-9, t_p2p_ch), 3),
             "matcher_table_vs_per_pair": round(t_match_pp / t_match_tb, 3),
-            "matcher_ch_vs_table": round(t_match_tb / t_match_ch, 3),
             "batch_vs_seed_baseline": round(t_seed / t_bn, 3),
             "batch_vs_engine_sequential": round(t_engine / t_bn, 3),
         },
@@ -1191,24 +1041,7 @@ def main(argv=None) -> int:
             "FAIL: shard-mode reference assembly did not beat whole-trip "
             "shipping on wire bytes"
         )
-    if not ch_settles_fewer:
-        print(
-            "FAIL: the CH query settled more nodes than bidirectional ALT "
-            "on the point-to-point phase"
-        )
-    if not matcher_ch_settles_fewer:
-        print(
-            "FAIL: the CH bucket oracle settled more nodes than the "
-            "distance-table oracle on matcher preprocessing"
-        )
-    return (
-        0
-        if all(identical.values())
-        and wire_below_whole_trips
-        and ch_settles_fewer
-        and matcher_ch_settles_fewer
-        else 1
-    )
+    return 0 if all(identical.values()) and wire_below_whole_trips else 1
 
 
 if __name__ == "__main__":

@@ -50,14 +50,8 @@ from repro.datasets.synthetic import ScenarioConfig, build_scenario
 from repro.eval.harness import ExperimentTable, evaluate_accuracy, evaluate_accuracy_batch
 from repro.eval.metrics import route_accuracy
 from repro.mapmatching import IncrementalMatcher, IVMMMatcher, STMatcher
-from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import GridCityConfig
-from repro.roadnet.io import (
-    load_contraction,
-    load_landmarks,
-    save_contraction,
-    save_landmarks,
-)
+from repro.roadnet.io import load_landmarks, save_landmarks
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.shortest_path import LandmarkIndex
 from repro.trajectory.resample import downsample
@@ -66,9 +60,6 @@ __all__ = ["main", "build_parser"]
 
 #: Landmark-index cache file stored next to a saved world's network.
 LANDMARKS_FILE = "landmarks.json"
-
-#: Contraction-hierarchy cache file stored next to a saved world's network.
-CONTRACTION_FILE = "contraction.json"
 
 #: Mirrors ``ArchiveShardServer.DEFAULT_COMPACT_EVERY`` without importing
 #: the remote module at parser-build time (server imports stay lazy).
@@ -80,7 +71,6 @@ _ROUTING_TIERS = {
     "astar": {},
     "bidi": {"shortest_path": "bidi"},
     "table": {"shortest_path": "bidi", "transition_oracle": "table"},
-    "ch": {"shortest_path": "ch", "transition_oracle": "ch_buckets"},
 }
 
 
@@ -156,28 +146,9 @@ def _add_routing_options(cmd: argparse.ArgumentParser) -> None:
         default="astar",
         help=(
             "routing tier: 'astar' (unidirectional ALT, the seed "
-            "discipline), 'bidi' (bidirectional ALT), 'table' "
-            "(bidirectional ALT + many-to-many distance tables) or 'ch' "
-            "(contraction hierarchy + bucket tables; preprocesses the "
-            "network once, cached next to the world).  Results are "
-            "bit-identical in every case"
-        ),
-    )
-    cmd.add_argument(
-        "--ch-cache",
-        default=None,
-        metavar="PATH",
-        help=(
-            "contraction-hierarchy cache file for --routing ch "
-            f"(default: <world>/{CONTRACTION_FILE})"
-        ),
-    )
-    cmd.add_argument(
-        "--no-ch-cache",
-        action="store_true",
-        help=(
-            "do not reuse/persist the contraction hierarchy next to the "
-            f"saved world ({CONTRACTION_FILE}); contract in-process instead"
+            "discipline), 'bidi' (bidirectional ALT) or 'table' "
+            "(bidirectional ALT + many-to-many distance tables).  Results "
+            "are bit-identical in every case"
         ),
     )
 
@@ -213,44 +184,6 @@ def _landmark_index_for(
     except OSError:
         pass  # read-only world dir: still usable, just not cached
     return index
-
-
-def _ch_hierarchy_for(
-    world: Path, network: RoadNetwork, args: argparse.Namespace
-) -> Optional[ContractionHierarchy]:
-    """Reuse a persisted contraction hierarchy, or contract + save.
-
-    Only consulted for ``--routing ch``.  The hierarchy is exact and a
-    pure function of the network, so a cached ``repro-ch-v1`` file whose
-    node set matches is interchangeable with a fresh contraction; a file
-    in any other format is rejected with the found format named (a
-    warning on stderr, then a rebuild).  ``--no-ch-cache`` skips disk
-    entirely — HRIS then contracts in-process.
-    """
-    if args.routing != "ch":
-        return None
-    if args.no_ch_cache:
-        return ContractionHierarchy.build(network)
-    path = Path(args.ch_cache) if args.ch_cache else world / CONTRACTION_FILE
-    if path.exists():
-        hierarchy = None
-        try:
-            hierarchy = load_contraction(path)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(
-                f"warning: ignoring contraction cache {path}: {exc}",
-                file=sys.stderr,
-            )
-        except OSError:
-            pass
-        if hierarchy is not None and hierarchy.matches(network):
-            return hierarchy
-    hierarchy = ContractionHierarchy.build(network)
-    try:
-        save_contraction(hierarchy, path)
-    except OSError:
-        pass  # read-only world dir: still usable, just not cached
-    return hierarchy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +481,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             config.n_landmarks,
             enabled=not args.no_landmark_cache,
         ),
-        ch_hierarchy=_ch_hierarchy_for(Path(args.world), scenario.network, args),
     )
     routes, detail = hris.infer_routes_with_details(query, args.k)
     print(
@@ -582,7 +514,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             config.n_landmarks,
             enabled=not args.no_landmark_cache,
         ),
-        ch_hierarchy=_ch_hierarchy_for(Path(args.world), network, args),
     )
     # Competitors share the HRIS engine: same candidate cache, stitch
     # bridges and (per the config) batched transition oracle — results are
@@ -630,7 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config.n_landmarks,
             enabled=not args.no_landmark_cache,
         ),
-        ch_hierarchy=_ch_hierarchy_for(Path(args.world), scenario.network, args),
     )
     gateway = InferenceGateway(
         hris_backends(hris, args.workers),

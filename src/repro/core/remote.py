@@ -59,6 +59,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import selectors
 import socket
 import socketserver
 import struct
@@ -344,9 +345,59 @@ def shard_of_tile(key: Tuple[int, int], num_shards: int) -> int:
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """A threaded TCP server whose shutdown takes effect at once.
+
+    The stock ``serve_forever`` checks for a shutdown request only every
+    0.5 s poll, and the stock ``shutdown`` blocks forever when the loop
+    never ran.  Here the loop also watches one end of a socket pair:
+    :meth:`request_stop` writes to the other end, so the loop wakes as
+    soon as it is asked to stop, and :meth:`shutdown` waits only for a
+    loop that is actually running.
+    """
+
     allow_reuse_address = True
     daemon_threads = True
     shard: "ArchiveShardServer"
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._stopping = threading.Event()
+        self._loop_lock = threading.Lock()  # held while the loop runs
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        # ``poll_interval`` is unused: the loop sleeps until it is woken.
+        with self._loop_lock:
+            if self._stopping.is_set():
+                return
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_r, selectors.EVENT_READ)
+                while True:
+                    ready = selector.select()
+                    if self._stopping.is_set():
+                        return
+                    if any(key.fileobj is self for key, __ in ready):
+                        self._handle_request_noblock()
+                    self.service_actions()
+
+    def request_stop(self) -> None:
+        """Ask the loop to exit without waiting for it (safe on any thread)."""
+        self._stopping.set()
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # already closed: the loop has nothing left to wake
+
+    def shutdown(self) -> None:
+        self.request_stop()
+        with self._loop_lock:  # returns once a running loop has exited
+            pass
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
 
 class _ShardRequestHandler(socketserver.BaseRequestHandler):
@@ -368,12 +419,16 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                     except InjectedFault:
                         return  # crash-mid-request: drop without replying
                 response = shard._dispatch(request)
+                stopping = request.get("op") == "shutdown" and response.get("ok")
+                if stopping:
+                    # Before the reply: once the client sees "ok", the
+                    # serve loop has already been told to exit.
+                    self.server.request_stop()
                 try:
                     _send_frame(self.request, response)
                 except OSError:
                     return
-                if request.get("op") == "shutdown" and response.get("ok"):
-                    threading.Thread(target=self.server.shutdown, daemon=True).start()
+                if stopping:
                     return
         finally:
             shard._untrack_connection(self.request)

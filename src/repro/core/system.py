@@ -48,7 +48,6 @@ from repro.roadnet.engine import (
     RoutingEngine,
 )
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.shortest_path import LandmarkIndex
 from repro.roadnet.route import Route
 from repro.trajectory.model import Trajectory
@@ -106,17 +105,13 @@ class HRISConfig:
         support_cache_size: Entries of the reference-support cache.
         oracle_cache_size: Source tables held by the distance oracle.
         transition_oracle: ``"per_pair"`` (seed behaviour: one bounded
-            Dijkstra per missed source), ``"table"`` (many-to-many
+            Dijkstra per missed source) or ``"table"`` (many-to-many
             :class:`~repro.roadnet.table_oracle.DistanceTableOracle`:
-            resumable batched sweeps over announced frontiers) or
-            ``"ch_buckets"`` (bucket joins over a contraction
-            hierarchy).  Results are bit-identical in every case.
+            resumable batched sweeps over announced frontiers).  Results
+            are bit-identical either way.
         shortest_path: Point-to-point engine query algorithm: ``"astar"``
-            (seed discipline), ``"bidi"`` (bidirectional ALT) or ``"ch"``
-            (contraction-hierarchy queries).  Routes and distances are
-            identical; only the searched volume shrinks.
-        bidirectional: Legacy alias selecting ``"bidi"`` when
-            ``shortest_path`` is left at ``"astar"``.
+            (seed discipline) or ``"bidi"`` (bidirectional ALT).  Routes
+            and distances are identical; only the searched volume shrinks.
         reference_mode: Where reference candidates are assembled.
             ``"local"`` (default, the seed behaviour) reads whole
             trajectories from the archive's client-held trip store;
@@ -159,7 +154,6 @@ class HRISConfig:
     oracle_cache_size: int = 2_048
     transition_oracle: str = "per_pair"
     shortest_path: str = "astar"
-    bidirectional: bool = False
     reference_mode: str = "local"
 
     def __post_init__(self) -> None:
@@ -221,7 +215,6 @@ class HRISConfig:
             oracle_sources=self.oracle_cache_size,
             transition_oracle=self.transition_oracle,
             shortest_path=self.shortest_path,
-            bidirectional=self.bidirectional,
         )
 
 
@@ -271,8 +264,6 @@ class HRIS:
         landmark_index: Optional prebuilt/persisted ALT landmark index;
             when given (and ``config.n_landmarks > 0``) the engine reuses
             it instead of rebuilding the tables at construction time.
-        ch_hierarchy: Optional prebuilt/persisted contraction hierarchy;
-            only consulted when the config selects a CH tier.
     """
 
     def __init__(
@@ -281,16 +272,12 @@ class HRIS:
         archive: ArchiveBackend,
         config: HRISConfig = HRISConfig(),
         landmark_index: Optional["LandmarkIndex"] = None,
-        ch_hierarchy: Optional["ContractionHierarchy"] = None,
     ) -> None:
         self._network = network
         self._archive = archive
         self._config = config
         self._engine = RoutingEngine(
-            network,
-            config.engine_config(),
-            landmarks=landmark_index,
-            hierarchy=ch_hierarchy,
+            network, config.engine_config(), landmarks=landmark_index
         )
         trip_source = None
         if config.reference_mode == "shard":
@@ -360,7 +347,6 @@ class HRIS:
             self._archive,
             self._config,
             landmark_index=self._engine.landmarks,
-            ch_hierarchy=self._engine.hierarchy,
         )
 
     def infer_routes(

@@ -30,12 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.geo.point import Point
 from repro.roadnet.cache import CacheStats, LRUCache
-from repro.roadnet.contraction import (
-    CHBucketOracle,
-    ContractionHierarchy,
-    ch_shortest_route_between_nodes,
-    ch_shortest_route_between_segments,
-)
 from repro.roadnet.network import CandidateEdge, RoadNetwork
 from repro.roadnet.route import Route
 from repro.roadnet.shortest_path import (
@@ -56,10 +50,10 @@ __all__ = [
 ]
 
 #: The oracle kind serving matcher transition lookups (see ``EngineConfig``).
-TRANSITION_ORACLES = ("per_pair", "table", "ch_buckets")
+TRANSITION_ORACLES = ("per_pair", "table")
 
 #: The algorithm behind residual single-pair route searches.
-SHORTEST_PATHS = ("astar", "bidi", "ch")
+SHORTEST_PATHS = ("astar", "bidi")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,19 +72,13 @@ class EngineConfig:
         transition_oracle: ``"per_pair"`` (one full bounded Dijkstra per
             source, the seed discipline), ``"table"`` (many-to-many
             frontier sweeps via
-            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`) or
-            ``"ch_buckets"`` (bucket joins over a contraction hierarchy
-            via :class:`~repro.roadnet.contraction.CHBucketOracle`).
+            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`).
             Results are bit-identical; only the work differs.
         shortest_path: The algorithm behind residual single-pair route
             searches: ``"astar"`` (unidirectional ALT A*, the seed
-            discipline), ``"bidi"`` (meet-in-the-middle
-            :func:`~repro.roadnet.shortest_path.bidi_astar`) or ``"ch"``
-            (contraction-hierarchy queries with stall-on-demand).
-            Identical routes in every case.
-        bidirectional: Legacy alias: with ``shortest_path="astar"`` this
-            selects the bidirectional search, exactly as before the
-            ``shortest_path`` knob existed.  Ignored for the other values.
+            discipline) or ``"bidi"`` (meet-in-the-middle
+            :func:`~repro.roadnet.shortest_path.bidi_astar`).  Identical
+            routes in either case.
     """
 
     n_landmarks: int = 8
@@ -101,7 +89,6 @@ class EngineConfig:
     oracle_max_distance: float = math.inf
     transition_oracle: str = "per_pair"
     shortest_path: str = "astar"
-    bidirectional: bool = False
 
     def __post_init__(self) -> None:
         if self.transition_oracle not in TRANSITION_ORACLES:
@@ -110,17 +97,6 @@ class EngineConfig:
             )
         if self.shortest_path not in SHORTEST_PATHS:
             raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
-
-    @property
-    def route_method(self) -> str:
-        """The effective single-pair algorithm (resolving the legacy flag)."""
-        if self.shortest_path == "astar" and self.bidirectional:
-            return "bidi"
-        return self.shortest_path
-
-    @property
-    def needs_hierarchy(self) -> bool:
-        return self.route_method == "ch" or self.transition_oracle == "ch_buckets"
 
 
 @dataclass(slots=True)
@@ -131,11 +107,8 @@ class EngineStats:
     *every* engine-owned transition oracle (one per distinct search bound),
     so matcher transition traffic shows up here — the seed engine kept a
     private, never-used oracle and reported zeros.  ``sweeps`` and
-    ``fallback_searches`` are non-zero only for the table and bucket
-    oracles: frontier sweeps / forward upward searches run and stray
-    single-pair fallbacks taken.  ``ch_stalls`` counts stall-on-demand
-    prunes of the contraction-hierarchy searches (zero for the other
-    tiers).
+    ``fallback_searches`` are non-zero only for the table oracle: frontier
+    sweeps run and stray single-pair fallbacks taken.
     """
 
     route_cache: CacheStats = field(default_factory=CacheStats)
@@ -147,7 +120,6 @@ class EngineStats:
     landmarks: int = 0
     sweeps: int = 0
     fallback_searches: int = 0
-    ch_stalls: int = 0
 
     def delta(self, earlier: "EngineStats") -> "EngineStats":
         return EngineStats(
@@ -160,7 +132,6 @@ class EngineStats:
             landmarks=self.landmarks,
             sweeps=self.sweeps - earlier.sweeps,
             fallback_searches=self.fallback_searches - earlier.fallback_searches,
-            ch_stalls=self.ch_stalls - earlier.ch_stalls,
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -171,7 +142,6 @@ class EngineStats:
             "landmarks": self.landmarks,
             "sweeps": self.sweeps,
             "fallback_searches": self.fallback_searches,
-            "ch_stalls": self.ch_stalls,
         }
         for name, cache in (
             ("route_cache", self.route_cache),
@@ -193,15 +163,11 @@ class RoutingEngine:
         network: RoadNetwork,
         config: EngineConfig = EngineConfig(),
         landmarks: Optional[LandmarkIndex] = None,
-        hierarchy: Optional[ContractionHierarchy] = None,
     ) -> None:
         """Args:
             landmarks: Optional prebuilt (e.g. persisted and reloaded)
                 landmark index to reuse.  Ignored when
                 ``config.n_landmarks == 0`` — that explicitly disables ALT.
-            hierarchy: Optional prebuilt (e.g. persisted and reloaded)
-                contraction hierarchy to reuse.  Only consulted when the
-                config selects a CH tier; built on demand otherwise absent.
         """
         self._network = network
         self._config = config
@@ -211,7 +177,6 @@ class RoutingEngine:
             self._landmarks = landmarks
         else:
             self._landmarks = LandmarkIndex.build(network, config.n_landmarks)
-        self._hierarchy = hierarchy
         self._route_cache: "LRUCache[Tuple[int, int], Tuple[float, Route]]" = LRUCache(
             config.route_cache_size
         )
@@ -246,17 +211,6 @@ class RoutingEngine:
         return self._landmarks
 
     @property
-    def hierarchy(self) -> Optional[ContractionHierarchy]:
-        """The engine's contraction hierarchy.
-
-        Built on first access when the config selects a CH tier; ``None``
-        for the other tiers (nothing is contracted that is never queried).
-        """
-        if self._hierarchy is None and self._config.needs_hierarchy:
-            self._hierarchy = ContractionHierarchy.build(self._network)
-        return self._hierarchy
-
-    @property
     def oracle(self):
         """The engine's own distance oracle (at ``oracle_max_distance``)."""
         return self._oracle
@@ -273,16 +227,7 @@ class RoutingEngine:
         """
         oracle = self._transition_oracles.get(max_distance)
         if oracle is None:
-            if self._config.transition_oracle == "ch_buckets":
-                oracle = CHBucketOracle(
-                    self._network,
-                    self.hierarchy,
-                    max_distance=max_distance,
-                    max_rows=self._config.oracle_sources,
-                    landmarks=self._landmarks,
-                    search_stats=self._search_stats,
-                )
-            elif self._config.transition_oracle == "table":
+            if self._config.transition_oracle == "table":
                 oracle = DistanceTableOracle(
                     self._network,
                     max_distance=max_distance,
@@ -305,18 +250,6 @@ class RoutingEngine:
         self, from_segment: int, to_segment: int
     ) -> Tuple[float, Route]:
         """Cached segment-to-segment shortest route (tier per config)."""
-        if self._config.route_method == "ch":
-            return self._route_cache.get_or_compute(
-                (from_segment, to_segment),
-                lambda: ch_shortest_route_between_segments(
-                    self._network,
-                    self.hierarchy,
-                    from_segment,
-                    to_segment,
-                    landmarks=self._landmarks,
-                    stats=self._search_stats,
-                ),
-            )
         return self._route_cache.get_or_compute(
             (from_segment, to_segment),
             lambda: shortest_route_between_segments(
@@ -325,7 +258,7 @@ class RoutingEngine:
                 to_segment,
                 landmarks=self._landmarks,
                 stats=self._search_stats,
-                bidirectional=self._config.route_method == "bidi",
+                bidirectional=self._config.shortest_path == "bidi",
             ),
         )
 
@@ -333,18 +266,6 @@ class RoutingEngine:
         self, source: int, target: int
     ) -> Tuple[float, Route]:
         """Cached node-to-node shortest route (tier per config)."""
-        if self._config.route_method == "ch":
-            return self._node_route_cache.get_or_compute(
-                (source, target),
-                lambda: ch_shortest_route_between_nodes(
-                    self._network,
-                    self.hierarchy,
-                    source,
-                    target,
-                    landmarks=self._landmarks,
-                    stats=self._search_stats,
-                ),
-            )
         return self._node_route_cache.get_or_compute(
             (source, target),
             lambda: shortest_route_between_nodes(
@@ -353,7 +274,7 @@ class RoutingEngine:
                 target,
                 landmarks=self._landmarks,
                 stats=self._search_stats,
-                bidirectional=self._config.route_method == "bidi",
+                bidirectional=self._config.shortest_path == "bidi",
             ),
         )
 
@@ -402,7 +323,6 @@ class RoutingEngine:
         """A point-in-time snapshot of all engine counters."""
         oracle_stats = CacheStats()
         settled = self._search_stats.settled
-        stalls = self._search_stats.stalls
         sweeps = 0
         fallbacks = 0
         for oracle in self._transition_oracles.values():
@@ -413,7 +333,6 @@ class RoutingEngine:
             settled += oracle.settled_nodes
             sweeps += getattr(oracle, "sweeps", 0)
             fallbacks += getattr(oracle, "fallbacks", 0)
-            stalls += getattr(oracle, "stalls", 0)
         return EngineStats(
             route_cache=self._route_cache.stats.snapshot(),
             candidate_cache=self._candidate_cache.stats.snapshot(),
@@ -424,23 +343,19 @@ class RoutingEngine:
             landmarks=len(self._landmarks) if self._landmarks else 0,
             sweeps=sweeps,
             fallback_searches=fallbacks,
-            ch_stalls=stalls,
         )
 
     def prepare_for_fork(self) -> None:
         """Compact mutable oracle state before a batch pool forks.
 
         Table-oracle rows seal their pending heaps into tuples so workers
-        share the warmed rows copy-on-write; the contraction hierarchy
-        completes its bucket cache so workers join instead of rebuilding;
-        per-pair oracles have nothing to seal.  Results-neutral either way.
+        share the warmed rows copy-on-write; per-pair oracles have nothing
+        to seal.  Results-neutral either way.
         """
         for oracle in self._transition_oracles.values():
             seal = getattr(oracle, "prepare_for_fork", None)
             if seal is not None:
                 seal()
-        if self._hierarchy is not None:
-            self._hierarchy.prepare_for_fork()
 
     def clear_caches(self) -> None:
         """Drop cached values (landmark tables are kept — they are exact)."""

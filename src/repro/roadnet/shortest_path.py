@@ -54,28 +54,18 @@ Heuristic = Callable[[int], float]
 
 @dataclass(slots=True)
 class SearchStats:
-    """Accumulated work counters across shortest-path searches.
-
-    ``stalls`` counts stall-on-demand prunes, which only the contraction-
-    hierarchy searches (:mod:`repro.roadnet.contraction`) perform.  A
-    stalled pop is counted in ``stalls`` only, not in ``settled``: the
-    popped label is disproved (a shorter path reaches the node through a
-    higher-ranked one) and its edges are never relaxed, so the work spent
-    on it is one heap pop and a comparison, not a settle.
-    """
+    """Accumulated work counters across shortest-path searches."""
 
     searches: int = 0
     settled: int = 0
-    stalls: int = 0
 
     def snapshot(self) -> "SearchStats":
-        return SearchStats(self.searches, self.settled, self.stalls)
+        return SearchStats(self.searches, self.settled)
 
     def delta(self, earlier: "SearchStats") -> "SearchStats":
         return SearchStats(
             searches=self.searches - earlier.searches,
             settled=self.settled - earlier.settled,
-            stalls=self.stalls - earlier.stalls,
         )
 
 

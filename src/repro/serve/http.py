@@ -65,6 +65,10 @@ class HttpError(Exception):
         self.status = status
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @dataclass(slots=True)
 class Request:
     """One parsed HTTP request."""
@@ -75,13 +79,17 @@ class Request:
     body: bytes
 
     def json(self):
-        """The body decoded as JSON.
+        """The body decoded as strict RFC 8259 JSON.
 
         Raises:
-            HttpError: 400 when the body is not valid JSON.
+            HttpError: 400 when the body is not valid JSON, including the
+                ``NaN``/``Infinity``/``-Infinity`` constants that Python's
+                decoder accepts by default.
         """
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return json.loads(
+                self.body.decode("utf-8"), parse_constant=_reject_constant
+            )
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}")
 

@@ -336,84 +336,14 @@ class TestCommands:
 
         base = ["infer", "--world", str(world_dir), "--query", "0"]
         outputs = {}
-        for tier in ("astar", "bidi", "table", "ch"):
+        for tier in ("astar", "bidi", "table"):
             assert main(base + ["--routing", tier]) == 0
             outputs[tier] = route_lines(capsys.readouterr().out)
         assert outputs["astar"]
-        for tier in ("bidi", "table", "ch"):
+        for tier in ("bidi", "table"):
             assert outputs[tier] == outputs["astar"]
-
-
-class TestChCache:
-    """``repro infer --routing ch`` round-trips the repro-ch-v1 cache."""
-
-    def test_infer_persists_and_reuses_hierarchy(
-        self, world_dir, capsys, monkeypatch
-    ):
-        import json
-
-        from repro.roadnet.contraction import ContractionHierarchy
-
-        args = ["infer", "--world", str(world_dir), "--query", "0",
-                "--routing", "ch"]
-        assert main(args) == 0
-        cache = world_dir / "contraction.json"
-        assert cache.exists()
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        assert payload["format"] == "repro-ch-v1"
-        capsys.readouterr()
-
-        # The second run must *load* the hierarchy, never re-contract.
-        def refuse(*a, **kw):
-            raise AssertionError("cache present: build() must not run")
-
-        monkeypatch.setattr(ContractionHierarchy, "build", refuse)
-        assert main(args) == 0
-        assert not capsys.readouterr().err
-
-    def test_wrong_version_rejected_naming_found_format(
-        self, world_dir, tmp_path, capsys
-    ):
-        import json
-        import shutil
-
-        world = tmp_path / "world-stale-ch"
-        shutil.copytree(world_dir, world)
-        cache = world / "contraction.json"
-        cache.write_text(
-            json.dumps({"format": "repro-ch-v999", "rank": {}, "edges": []}),
-            encoding="utf-8",
-        )
-        args = ["infer", "--world", str(world), "--query", "0",
-                "--routing", "ch"]
-        assert main(args) == 0  # rebuilt after rejecting the stale file
-        err = capsys.readouterr().err
-        assert "repro-ch-v999" in err
-        # The rebuild overwrote the stale cache with the current format.
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        assert payload["format"] == "repro-ch-v1"
-
-    def test_ch_cache_opt_out(self, world_dir, tmp_path):
-        import shutil
-
-        world = tmp_path / "world-no-ch-cache"
-        shutil.copytree(world_dir, world)
-        (world / "contraction.json").unlink(missing_ok=True)
-        args = ["infer", "--world", str(world), "--query", "0",
-                "--routing", "ch", "--no-ch-cache"]
-        assert main(args) == 0
-        assert not (world / "contraction.json").exists()
-
-    def test_ch_cache_custom_path(self, world_dir, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "elsewhere" / "ch.json"
-        target.parent.mkdir(parents=True)
-        args = ["infer", "--world", str(world_dir), "--query", "0",
-                "--routing", "ch", "--ch-cache", str(target)]
-        assert main(args) == 0
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["format"] == "repro-ch-v1"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(base + ["--routing", "ch"])
 
 
 class TestServeCommand:

@@ -331,6 +331,32 @@ class TestLifecycle:
         assert not server._thread.is_alive()
         server.stop()  # idempotent after remote shutdown
 
+    def test_stop_after_start_is_prompt(self):
+        # The stock socketserver loop notices a shutdown only at its next
+        # 0.5 s poll; stop() must wake it instead.  A ping round trip first
+        # leaves the loop idle in its select.  Best of three cycles, so one
+        # scheduler hiccup cannot fail the test.
+        durations = []
+        for __ in range(3):
+            server = ArchiveShardServer(0, 1, TILE).start()
+            conn = _ShardConnection(server.address, 5.0, 0, 0.0, [])
+            try:
+                assert conn.request({"op": "ping", "v": _WIRE_V})["ok"]
+            finally:
+                conn.close()
+            t0 = time.perf_counter()
+            server.stop()
+            durations.append(time.perf_counter() - t0)
+            assert server._thread is None
+        assert min(durations) < 0.1, durations
+
+    def test_stop_without_start_does_not_block(self):
+        server = ArchiveShardServer(0, 1, TILE)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() blocked on a never-started server"
+
     def test_prepare_for_fork_drops_connections_then_reconnects(self, cluster):
         __, addrs = cluster
         rng = np.random.default_rng(17)

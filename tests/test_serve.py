@@ -190,6 +190,12 @@ class TestAdmission:
             )
             assert c.request("GET", "/missing").status == 404
             assert c.request("DELETE", "/healthz").status == 405
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                # json.dumps spells these NaN / Infinity / -Infinity,
+                # which RFC 8259 does not allow.
+                reply = c.infer([[bad, 0.0, 0.0], [1.0, 1.0, 10.0]], k=None)
+                assert reply.status == 400
+                assert "not valid JSON" in reply.payload["error"]
         assert not calls  # nothing malformed reached a worker
 
 
@@ -339,7 +345,7 @@ class TestMetrics:
 
     def test_engine_counters_for_hris_backends(self, world):
         """HRIS-backed gateways expose the routing-engine counters —
-        settled nodes, cache hit/miss, oracle sweeps, CH stalls — summed
+        settled nodes, cache hit/miss, oracle sweeps — summed
         across workers; stub backends (above) omit the key entirely."""
         scenario, hris, queries, direct = world
         gateway = InferenceGateway(hris_backends(hris, 2), GatewayConfig())
@@ -362,7 +368,6 @@ class TestMetrics:
             "settled_nodes",
             "sweeps",
             "fallback_searches",
-            "ch_stalls",
             "route_cache_hits",
             "route_cache_misses",
             "route_cache_evictions",

@@ -178,7 +178,7 @@ class TestMatcherIdentity:
     @pytest.fixture(scope="class")
     def table_engine(self, city):
         return RoutingEngine(
-            city, EngineConfig(transition_oracle="table", bidirectional=True)
+            city, EngineConfig(transition_oracle="table", shortest_path="bidi")
         )
 
     @pytest.mark.parametrize(

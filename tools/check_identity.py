@@ -52,11 +52,8 @@ def _configs():
 
     return {
         "engine": HRISConfig(),
-        "bidirectional": HRISConfig(bidirectional=True),
-        "table_oracle": HRISConfig(transition_oracle="table", bidirectional=True),
-        # Contraction hierarchy behind both the point-to-point queries and
-        # the matcher transition tables (bucket joins).
-        "ch": HRISConfig(shortest_path="ch", transition_oracle="ch_buckets"),
+        "bidirectional": HRISConfig(shortest_path="bidi"),
+        "table_oracle": HRISConfig(transition_oracle="table", shortest_path="bidi"),
         "no_landmarks": HRISConfig(n_landmarks=0),
         # References assembled by a loopback shard fleet (repro-remote-v4);
         # check_live swaps the archive for a RemoteShardedArchive.

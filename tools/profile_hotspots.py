@@ -6,17 +6,16 @@ tool answers *where the time goes*.  It builds the standard evaluation
 scenario, runs every query through the chosen configuration under
 cProfile, and prints the top functions by cumulative time::
 
-    PYTHONPATH=src python tools/profile_hotspots.py --config ch --top 25
-    PYTHONPATH=src python tools/profile_hotspots.py --config table_oracle \
+    PYTHONPATH=src python tools/profile_hotspots.py --config table_oracle --top 25
+    PYTHONPATH=src python tools/profile_hotspots.py --config engine \
         --sort tottime
 
 Configurations are the same named set as ``tools/check_identity.py``
-(``engine``, ``bidirectional``, ``table_oracle``, ``ch``,
-``no_landmarks``), so a profile always corresponds to an
-identity-gated configuration.  ``--matcher`` profiles HMM map-matching
-on a grid city instead of the inference scenario — the workload where
-the many-to-many transition oracles (``table`` vs ``ch_buckets``)
-differ most.
+(``engine``, ``bidirectional``, ``table_oracle``, ``no_landmarks``),
+so a profile always corresponds to an identity-gated configuration.
+``--matcher`` profiles HMM map-matching on a grid city instead of the
+inference scenario — the workload where the transition oracles
+(``per_pair`` vs ``table``) differ most.
 
 Caveat: cProfile charges a fixed overhead per function call, which
 inflates configurations that make many cheap calls relative to those
@@ -79,8 +78,7 @@ def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
 
     engine_cfgs = {
         "engine": EngineConfig(),
-        "table_oracle": EngineConfig(transition_oracle="table", bidirectional=True),
-        "ch": EngineConfig(shortest_path="ch", transition_oracle="ch_buckets"),
+        "table_oracle": EngineConfig(transition_oracle="table", shortest_path="bidi"),
     }
     if config_name not in engine_cfgs:
         raise SystemExit(
@@ -107,7 +105,6 @@ def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
         )
         trajs.append(drive.trajectory)
     engine = RoutingEngine(city, engine_cfgs[config_name])
-    engine.hierarchy  # contraction happens outside the profile
     matcher = HMMMatcher(city, HMMConfig(), engine=engine)
 
     def run():
@@ -121,7 +118,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
-        default="ch",
+        default="table_oracle",
         help="configuration name (see tools/check_identity.py)",
     )
     parser.add_argument(
