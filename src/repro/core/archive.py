@@ -13,14 +13,16 @@ The layer is split into pluggable backends behind one protocol:
 * :class:`InMemoryArchive` — the classic single-R-tree implementation
   (kept available under its historical name :data:`TrajectoryArchive`);
 * :class:`ShardedArchive` — points partitioned into square spatial tiles
-  with one lazily built R-tree per tile; range and pair queries are routed
-  only to the overlapping tiles, so a worker serving a localised query set
-  materialises a fraction of the archive's index;
+  (a :class:`TileIndex`) with one lazily built R-tree per tile; range and
+  pair queries are routed only to the overlapping tiles, so a worker
+  serving a localised query set materialises a fraction of the archive's
+  index;
 * :class:`~repro.core.remote.RemoteShardedArchive` (in
   :mod:`repro.core.remote`) — the same tiling split across *processes*:
-  each :class:`~repro.core.remote.ArchiveShardServer` owns a subset of
-  tiles and the client fans queries out over a socket protocol, merging
-  replies back into the canonical order (see ``docs/distributed.md``).
+  each :class:`~repro.core.remote.ArchiveShardServer` keeps the tiles it
+  owns in its own :class:`TileIndex` and the client fans queries out over
+  a socket protocol, merging replies back into the canonical order (see
+  ``docs/distributed.md``).
 
 Every backend returns **canonically ordered** query results — point hits
 sorted by ``(traj_id, index)``, near-maps keyed in ascending trajectory
@@ -42,7 +44,10 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
+    Generic,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -50,6 +55,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
     runtime_checkable,
 )
@@ -66,6 +72,7 @@ __all__ = [
     "ArchiveBackend",
     "InMemoryArchive",
     "ShardedArchive",
+    "TileIndex",
     "TrajectoryArchive",
     "ARCHIVE_BACKENDS",
     "make_archive",
@@ -399,15 +406,160 @@ class InMemoryArchive(_ArchiveBase):
 TrajectoryArchive = InMemoryArchive
 
 
-class ShardedArchive(_ArchiveBase):
-    """Spatially tiled backend: one lazily built R-tree per occupied tile.
+TileKey = Tuple[int, int]
+R = TypeVar("R", bound=Hashable)
+V = TypeVar("V")
 
-    Points are binned into square tiles of ``tile_size`` metres by
-    ``floor(coord / tile_size)``, so every observation belongs to exactly
-    one tile.  A range query is routed only to the tiles its bounding box
-    overlaps; per-tile hits are merged, de-duplicated and canonically
-    sorted, which makes the answer bit-identical to
-    :class:`InMemoryArchive` on the same trips.
+
+class TileIndex(Generic[R, V]):
+    """Points binned into square tiles, one lazily built R-tree per tile.
+
+    A point belongs to the tile ``floor(coord / tile_size)`` on each axis,
+    so every point lives in exactly one tile and per-tile hits merge
+    without duplicates.  :attr:`tiles` maps each occupied tile to its
+    points, ``ref -> value`` in insertion order, where ``position(value)``
+    is the point's coordinate.  A tile's R-tree is built on the first
+    query that touches it and maintained incrementally from then on.
+
+    :class:`ShardedArchive` (one process) and
+    :class:`~repro.core.remote.ArchiveShardServer` (one shard of a fleet)
+    both keep their points here; the remote client routes with the static
+    helpers :meth:`tile_of` and :meth:`tile_span`.
+    """
+
+    def __init__(self, tile_size: float, position: Callable[[V], Point]) -> None:
+        if tile_size <= 0.0:
+            raise ValueError("tile_size must be positive")
+        self.tile_size = float(tile_size)
+        self._position = position
+        self.tiles: Dict[TileKey, Dict[R, V]] = {}
+        self._trees: Dict[TileKey, RTree[R]] = {}
+        self.num_points = 0
+
+    @staticmethod
+    def tile_of(x: float, y: float, tile_size: float) -> TileKey:
+        """The tile containing ``(x, y)``."""
+        return (math.floor(x / tile_size), math.floor(y / tile_size))
+
+    @staticmethod
+    def tile_span(box: BBox, tile_size: float) -> Tuple[int, int, int, int]:
+        """Inclusive tile ranges ``(ix0, ix1, iy0, iy1)`` that ``box`` covers."""
+        return (
+            math.floor(box.min_x / tile_size),
+            math.floor(box.max_x / tile_size),
+            math.floor(box.min_y / tile_size),
+            math.floor(box.max_y / tile_size),
+        )
+
+    def key(self, x: float, y: float) -> TileKey:
+        return self.tile_of(x, y, self.tile_size)
+
+    # -------------------------------------------------------------- mutation
+
+    def insert(self, key: TileKey, ref: R, value: V) -> bool:
+        """Add a point to tile ``key``; False if ``ref`` is already there."""
+        tile = self.tiles.setdefault(key, {})
+        if ref in tile:
+            return False
+        tile[ref] = value
+        self.num_points += 1
+        tree = self._trees.get(key)
+        if tree is not None:
+            tree.insert_point(self._position(value), ref)
+        return True
+
+    def remove(self, key: TileKey, ref: R) -> bool:
+        """Drop a point from tile ``key``; False if it was not there."""
+        tile = self.tiles.get(key)
+        if tile is None or ref not in tile:
+            return False
+        value = tile.pop(ref)
+        self.num_points -= 1
+        tree = self._trees.get(key)
+        if tree is not None:
+            tree.remove_point(self._position(value), ref)
+        if not tile:
+            del self.tiles[key]
+            self._trees.pop(key, None)
+        return True
+
+    # --------------------------------------------------------------- queries
+
+    def overlapping(self, box: BBox) -> List[TileKey]:
+        """Occupied tiles whose square intersects ``box``."""
+        ix0, ix1, iy0, iy1 = self.tile_span(box, self.tile_size)
+        if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) <= len(self.tiles):
+            return [
+                (ix, iy)
+                for ix in range(ix0, ix1 + 1)
+                for iy in range(iy0, iy1 + 1)
+                if (ix, iy) in self.tiles
+            ]
+        return [
+            key
+            for key in self.tiles
+            if ix0 <= key[0] <= ix1 and iy0 <= key[1] <= iy1
+        ]
+
+    def _tree(self, key: TileKey) -> RTree[R]:
+        tree = self._trees.get(key)
+        if tree is None:
+            entries = [
+                (BBox.from_point(self._position(value)), ref)
+                for ref, value in self.tiles[key].items()
+            ]
+            tree = RTree.bulk_load(entries, max_entries=32)
+            self._trees[key] = tree
+        return tree
+
+    def search_circles(self, queries: Sequence[Tuple[Point, float]]) -> List[List[R]]:
+        """The refs within each ``(center, radius)`` circle, unordered.
+
+        Every tile is walked once for all the circles that reach it.  The
+        distance test is the R-tree's bbox mindist, which for a point's
+        zero-area box is exactly ``Point.distance_to``.
+        """
+        out: List[List[R]] = [[] for __ in queries]
+        per_tile: Dict[TileKey, List[int]] = {}
+        for qi, (center, radius) in enumerate(queries):
+            for key in self.overlapping(BBox.around(center, radius)):
+                per_tile.setdefault(key, []).append(qi)
+        for key, circle_ids in per_tile.items():
+            sub = self._tree(key).search_radius_many([queries[qi] for qi in circle_ids])
+            for qi, hits in zip(circle_ids, sub):
+                out[qi].extend(hits)
+        return out
+
+    def search_bbox(self, region: BBox) -> List[R]:
+        """The refs inside ``region``, unordered."""
+        refs: List[R] = []
+        for key in self.overlapping(region):
+            refs.extend(self._tree(key).search_bbox(region))
+        return refs
+
+    # ------------------------------------------------------------ accounting
+
+    @property
+    def resident_points(self) -> int:
+        """Points held by materialised per-tile R-trees."""
+        return sum(len(tree) for tree in self._trees.values())
+
+    @property
+    def resident_tiles(self) -> int:
+        """Tiles whose R-tree has been materialised."""
+        return len(self._trees)
+
+    def index_nbytes(self) -> int:
+        """Approximate bytes held by materialised per-tile R-trees."""
+        return sum(tree.approx_nbytes() for tree in self._trees.values())
+
+
+class ShardedArchive(_ArchiveBase):
+    """Spatially tiled backend: a :class:`TileIndex` over the archive.
+
+    A range query is routed only to the tiles its bounding box overlaps;
+    per-tile hits are merged and canonically sorted, which makes the
+    answer bit-identical to :class:`InMemoryArchive` on the same trips.
 
     The tile *assignment* (which refs live in which tile) is built in one
     pass on first use; each tile's R-tree is materialised only when a
@@ -423,19 +575,18 @@ class ShardedArchive(_ArchiveBase):
             raise ValueError("tile_size must be positive")
         super().__init__()
         self._tile_size = float(tile_size)
-        self._assignment: Optional[Dict[Tuple[int, int], List[ArchivePoint]]] = None
-        self._shards: Dict[Tuple[int, int], RTree[ArchivePoint]] = {}
+        self._assignment: Optional[TileIndex[ArchivePoint, GPSPoint]] = None
 
     @property
     def tile_size(self) -> float:
         return self._tile_size
 
-    def tile_key(self, p: Point) -> Tuple[int, int]:
+    def tile_key(self, p: Point) -> TileKey:
         """The tile containing ``p``."""
-        return (
-            math.floor(p.x / self._tile_size),
-            math.floor(p.y / self._tile_size),
-        )
+        return TileIndex.tile_of(p.x, p.y, self._tile_size)
+
+    def _new_index(self) -> TileIndex[ArchivePoint, GPSPoint]:
+        return TileIndex(self._tile_size, position=_observation_point)
 
     # ------------------------------------------------------------------ hooks
 
@@ -443,100 +594,38 @@ class ShardedArchive(_ArchiveBase):
         if self._assignment is None:
             return
         for i, p in enumerate(trajectory.points):
-            key = self.tile_key(p.point)
-            ref = ArchivePoint(trajectory.traj_id, i)
-            self._assignment.setdefault(key, []).append(ref)
-            shard = self._shards.get(key)
-            if shard is not None:
-                shard.insert_point(p.point, ref)
+            self._assignment.insert(
+                self.tile_key(p.point), ArchivePoint(trajectory.traj_id, i), p
+            )
 
     def _on_remove(self, trajectory: Trajectory) -> None:
         if self._assignment is None:
             return
         for i, p in enumerate(trajectory.points):
-            key = self.tile_key(p.point)
-            ref = ArchivePoint(trajectory.traj_id, i)
-            refs = self._assignment.get(key)
-            if refs is not None:
-                refs.remove(ref)
-                if not refs:
-                    del self._assignment[key]
-            shard = self._shards.get(key)
-            if shard is not None:
-                shard.remove_point(p.point, ref)
-                if len(shard) == 0:
-                    del self._shards[key]
+            self._assignment.remove(
+                self.tile_key(p.point), ArchivePoint(trajectory.traj_id, i)
+            )
 
     # ----------------------------------------------------------- tile routing
 
-    def _ensure_assignment(self) -> Dict[Tuple[int, int], List[ArchivePoint]]:
+    def _ensure_assignment(self) -> TileIndex[ArchivePoint, GPSPoint]:
         if self._assignment is None:
-            assignment: Dict[Tuple[int, int], List[ArchivePoint]] = {}
+            index = self._new_index()
             for ref, p in self.iter_points():
-                assignment.setdefault(self.tile_key(p.point), []).append(ref)
-            self._assignment = assignment
+                index.insert(self.tile_key(p.point), ref, p)
+            self._assignment = index
         return self._assignment
-
-    def _shard(self, key: Tuple[int, int]) -> RTree[ArchivePoint]:
-        tree = self._shards.get(key)
-        if tree is None:
-            assert self._assignment is not None
-            entries = [
-                (BBox.from_point(self.point(ref).point), ref)
-                for ref in self._assignment[key]
-            ]
-            tree = RTree.bulk_load(entries, max_entries=32)
-            self._shards[key] = tree
-        return tree
-
-    def _tiles_overlapping(self, box: BBox) -> List[Tuple[int, int]]:
-        """Occupied tiles whose square intersects ``box``."""
-        assignment = self._ensure_assignment()
-        ix0 = math.floor(box.min_x / self._tile_size)
-        ix1 = math.floor(box.max_x / self._tile_size)
-        iy0 = math.floor(box.min_y / self._tile_size)
-        iy1 = math.floor(box.max_y / self._tile_size)
-        span = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-        if span <= len(assignment):
-            return [
-                (ix, iy)
-                for ix in range(ix0, ix1 + 1)
-                for iy in range(iy0, iy1 + 1)
-                if (ix, iy) in assignment
-            ]
-        return [
-            key
-            for key in assignment
-            if ix0 <= key[0] <= ix1 and iy0 <= key[1] <= iy1
-        ]
 
     def _search_circles(
         self, queries: Sequence[Tuple[Point, float]]
     ) -> List[List[ArchivePoint]]:
-        out: List[List[ArchivePoint]] = [[] for __ in queries]
-        if not queries:
-            return out
-        boxes = [BBox.around(center, radius) for center, radius in queries]
-        per_tile: Dict[Tuple[int, int], List[int]] = {}
-        for qi, box in enumerate(boxes):
-            for key in self._tiles_overlapping(box):
-                per_tile.setdefault(key, []).append(qi)
-        for key, circle_ids in per_tile.items():
-            tree = self._shard(key)
-            sub = tree.search_radius_many(
-                [queries[qi] for qi in circle_ids],
-                position=lambda ref: self.point(ref).point,
-            )
-            for qi, hits in zip(circle_ids, sub):
-                out[qi].extend(hits)
+        hits = self._ensure_assignment().search_circles(queries)
         # Each point lives in exactly one tile, so the merge is disjoint;
         # the set() is defensive, the sort restores the canonical order.
-        return [sorted(set(h), key=_ref_key) for h in out]
+        return [sorted(set(h), key=_ref_key) for h in hits]
 
     def points_in_bbox(self, region: BBox) -> List[ArchivePoint]:
-        refs: List[ArchivePoint] = []
-        for key in self._tiles_overlapping(region):
-            refs.extend(self._shard(key).search_bbox(region))
+        refs = self._ensure_assignment().search_bbox(region)
         return sorted(set(refs), key=_ref_key)
 
     # -------------------------------------------------------- fork/accounting
@@ -554,17 +643,17 @@ class ShardedArchive(_ArchiveBase):
     @property
     def resident_points(self) -> int:
         """Observations held by materialised per-tile R-trees."""
-        return sum(len(tree) for tree in self._shards.values())
+        return self._assignment.resident_points if self._assignment is not None else 0
 
     @property
     def resident_tiles(self) -> int:
         """Tiles whose R-tree has been materialised."""
-        return len(self._shards)
+        return self._assignment.resident_tiles if self._assignment is not None else 0
 
     @property
     def total_tiles(self) -> int:
         """Occupied tiles (assignment is built on demand to count them)."""
-        return len(self._ensure_assignment())
+        return len(self._ensure_assignment().tiles)
 
     def index_nbytes(self) -> int:
         """Approximate bytes held by materialised per-tile R-trees.
@@ -573,7 +662,7 @@ class ShardedArchive(_ArchiveBase):
         shared copy-on-write across batch workers, whereas the per-tile
         trees are each worker's private resident set.
         """
-        return sum(tree.approx_nbytes() for tree in self._shards.values())
+        return self._assignment.index_nbytes() if self._assignment is not None else 0
 
     def backend_stats(self) -> Dict[str, object]:
         stats = super().backend_stats()
@@ -586,6 +675,10 @@ class ShardedArchive(_ArchiveBase):
             index_bytes=self.index_nbytes(),
         )
         return stats
+
+
+def _observation_point(p: GPSPoint) -> Point:
+    return p.point
 
 
 #: Backend registry: CLI/IO names accepted by :func:`make_archive`.
@@ -746,7 +839,7 @@ def save_archive(archive: _ArchiveBase, directory: Union[str, Path]) -> Path:
             assignment = archive._ensure_assignment()
             tiles = {
                 f"{ix},{iy}": [[ref.traj_id, ref.index] for ref in refs]
-                for (ix, iy), refs in sorted(assignment.items())
+                for (ix, iy), refs in sorted(assignment.tiles.items())
             }
             with open(staging / _TILES_FILE, "w", encoding="utf-8") as f:
                 json.dump(tiles, f)
@@ -827,15 +920,16 @@ def load_archive(
     ):
         with open(tiles_path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-        assignment: Dict[Tuple[int, int], List[ArchivePoint]] = {}
-        total = 0
+        index = archive._new_index()
         for key, refs in raw.items():
             ix, iy = (int(v) for v in key.split(","))
-            assignment[(ix, iy)] = [
-                ArchivePoint(int(tid), int(idx)) for tid, idx in refs
-            ]
-            total += len(refs)
-        if total != archive.num_points:
+            for tid, idx in refs:
+                ref = ArchivePoint(int(tid), int(idx))
+                try:
+                    index.insert((ix, iy), ref, archive.point(ref))
+                except (KeyError, IndexError):
+                    raise ValueError(f"persisted tile index names unknown {ref}")
+        if index.num_points != archive.num_points:
             raise ValueError("persisted tile index does not cover the archive")
-        archive._assignment = assignment
+        archive._assignment = index
     return archive

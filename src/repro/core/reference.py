@@ -11,29 +11,20 @@ trajectories that hint at how objects travel between the two locations:
   joining the tail of a trajectory leaving ``q_i`` with the head of another
   arriving at ``q_{i+1}``, when the two come within ε of each other.
 
-The search itself is a pure kernel (:func:`assemble_references`) over a
-:class:`TripSource` — a narrow read interface asking only for the near-φ
+The search itself is a pure kernel (:func:`assemble_references`) over an
+:class:`ArchiveTripSource` — a narrow read view of an
+:class:`~repro.core.archive.ArchiveBackend` that answers only the near-φ
 candidate maps, per-candidate anchor observations, and index spans of
-trajectory points.  Two sources implement it:
-
-* :class:`ArchiveTripSource` answers from any in-process
-  :class:`~repro.core.archive.ArchiveBackend` trip store — the monolithic
-  path, and the float-level ground truth for every identity gate;
-* ``repro.core.remote.RemoteTripSource`` answers over the
-  ``repro-remote-v4`` wire: shards assemble candidate summaries and spans
-  from the tiles they own, and the client stitches spans that cross tile
-  ownership back into canonical index order.
-
-Because both sources return byte-identical anchors and spans in the same
-canonical order, the kernel produces bit-identical references (same
-ref_ids, same floats, same splice selections) no matter where the trips
-physically live.
+trajectory points.  Every backend (in-memory, sharded, remote) keeps its
+trips in the process's trip store and returns canonically ordered
+near-maps, so the kernel produces bit-identical references (same
+ref_ids, same floats, same splice selections) on all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.archive import ArchiveBackend
 from repro.geo.point import Point
@@ -48,7 +39,6 @@ __all__ = [
     "ReferenceSearch",
     "ReferenceSearchConfig",
     "TripAnchor",
-    "TripSource",
     "assemble_references",
     "closest_references",
     "movement_direction",
@@ -96,11 +86,7 @@ class Reference:
         ref_id: Id unique within the search call (the unit the popularity
             function counts).
         source_ids: Archive trajectory id(s) backing this reference — one
-            for a simple reference, two for a spliced one.  The ids are
-            global archive ids regardless of where the points were
-            assembled: a shard-assembled reference whose span was stitched
-            from several tile owners still carries the single id of the
-            backing trajectory.
+            for a simple reference, two for a spliced one.
         points: The ordered observations from the ``q_i`` side to the
             ``q_{i+1}`` side (the sub-trajectory ``T_i^k``).
         spliced: True for Definition 7 references.
@@ -222,59 +208,20 @@ class TripAnchor:
     t: float
 
 
-class TripSource:
-    """Read interface the reference kernel assembles candidates from.
+class ArchiveTripSource:
+    """The read view the reference kernel assembles candidates from.
 
     A source is stateful per query pair: :meth:`near_pair` begins a pair
-    session, and every later call refers to that pair's query points.  The
-    contract every implementation must honour for bit-identity:
+    session, and every later call refers to that pair's query points.
 
     * ``near_pair`` returns the canonical near-maps of
       ``ArchiveBackend.trajectories_near_pair`` (ascending trajectory id,
       ascending point indices);
-    * ``anchor_i``/``anchor_j`` return exactly the observation
-      ``Trajectory.nearest_index`` would pick — the lowest index among
-      squared-distance ties — with its original coordinates so the kernel
-      recomputes distances with the same floats everywhere;
+    * ``anchor_i``/``anchor_j`` return the observation
+      ``Trajectory.nearest_index`` picks (the lowest index among
+      squared-distance ties), memoised for the pair;
     * ``span(tid, lo, hi)`` returns the trajectory's points for the
-      inclusive index range in index order, regardless of how many
-      physical owners the range is scattered across.
-
-    ``announce`` and ``prefetch_spans`` are batching hints so a networked
-    source can fetch metadata and spans in bulk rounds; in-process sources
-    ignore them.
-    """
-
-    def near_pair(
-        self, qi: Point, qi1: Point, radius: float
-    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        raise NotImplementedError
-
-    def announce(self, tids: Iterable[int]) -> None:
-        """Hint: anchors/metadata for these trajectories will be needed."""
-
-    def anchor_i(self, tid: int) -> TripAnchor:
-        raise NotImplementedError
-
-    def anchor_j(self, tid: int) -> TripAnchor:
-        raise NotImplementedError
-
-    def last_index(self, tid: int) -> int:
-        raise NotImplementedError
-
-    def prefetch_spans(self, spans: Sequence[Tuple[int, int, int]]) -> None:
-        """Hint: these ``(tid, lo, hi)`` spans will be requested next."""
-
-    def span(self, tid: int, lo: int, hi: int) -> Tuple[Point, ...]:
-        raise NotImplementedError
-
-
-class ArchiveTripSource(TripSource):
-    """The in-process :class:`TripSource`: reads an ``ArchiveBackend``.
-
-    This is the monolithic path — trips live in the client's archive trip
-    store — and the reference implementation the distributed source is
-    gated bit-identical against.
+      inclusive index range, in index order.
     """
 
     def __init__(self, archive: ArchiveBackend) -> None:
@@ -328,7 +275,7 @@ def within_speed_ellipse(
 
 
 def _in_time_window(
-    source: TripSource, tid: int, qi: GPSPoint, window: Optional[float]
+    source: ArchiveTripSource, tid: int, qi: GPSPoint, window: Optional[float]
 ) -> bool:
     """Time-of-day filter (see ``time_of_day_window_s``)."""
     if window is None:
@@ -338,14 +285,12 @@ def _in_time_window(
 
 
 def _screen_simple(
-    source: TripSource, tid: int, qi: Point, qi1: Point, phi: float
+    source: ArchiveTripSource, tid: int, qi: Point, qi1: Point, phi: float
 ) -> Optional[Tuple[int, int]]:
     """Definition 6 anchor conditions (everything except the ellipse).
 
     Returns the anchor index pair ``(m, n)`` when the candidate's anchors
     are inside both φ circles and ordered q_i-to-q_{i+1}, None otherwise.
-    Needs no trajectory spans, so a networked source answers it from
-    candidate summaries alone.
     """
     anchor_i = source.anchor_i(tid)
     # Condition 2: both anchors inside the φ circles.
@@ -361,13 +306,17 @@ def _screen_simple(
 
 
 def simple_subtrajectory(
-    source: TripSource, tid: int, qi: Point, qi1: Point, phi: float, budget: float
+    source: ArchiveTripSource,
+    tid: int,
+    qi: Point,
+    qi1: Point,
+    phi: float,
+    budget: float,
 ) -> Optional[Tuple[Point, ...]]:
     """Definition 6 check for one candidate trajectory.
 
     Returns the sub-trajectory point tuple when the trajectory qualifies,
-    None otherwise.  Pure over the :class:`TripSource` — identical on a
-    client archive and on a shard.
+    None otherwise.
     """
     anchors = _screen_simple(source, tid, qi, qi1, phi)
     if anchors is None:
@@ -458,7 +407,7 @@ def _network_reachable_pairs(
 
 
 def _spliced_references(
-    source: TripSource,
+    source: ArchiveTripSource,
     network: RoadNetwork,
     qi: GPSPoint,
     qi1: GPSPoint,
@@ -473,7 +422,6 @@ def _spliced_references(
     """Definition 7: join tails leaving q_i with heads reaching q_{i+1}."""
     # Candidate halves: trajectories near exactly one endpoint, minus
     # the ones already accepted as simple references.
-    source.announce([t for t in near_i if t not in simple_ids])
     tail_ids = [
         t
         for t in near_i
@@ -483,7 +431,6 @@ def _spliced_references(
     head_ids = [t for t in near_j if t not in simple_ids]
     if not tail_ids or not head_ids:
         return []
-    source.announce(head_ids)
 
     # Tail of T_a: observations from nn(q_i, T_a) onwards.
     tail_anchors: List[Tuple[int, int]] = []
@@ -502,10 +449,6 @@ def _spliced_references(
     if not tail_anchors or not head_anchors:
         return []
 
-    source.prefetch_spans(
-        [(tid, m, source.last_index(tid)) for tid, m in tail_anchors]
-        + [(tid, 0, n) for tid, n in head_anchors]
-    )
     # Each value is the anchor index plus the span of *absolute* indices
     # [m, last] (tails) or [0, n] (heads).
     tails: Dict[int, Tuple[int, Tuple[Point, ...]]] = {
@@ -566,7 +509,7 @@ def _spliced_references(
 
 
 def assemble_references(
-    source: TripSource,
+    source: ArchiveTripSource,
     network: RoadNetwork,
     qi: GPSPoint,
     qi1: GPSPoint,
@@ -575,9 +518,9 @@ def assemble_references(
 ) -> List[Reference]:
     """All references w.r.t. ``<q_i, q_{i+1}>``, simple ones first.
 
-    The shared kernel behind both reference modes: every decision is made
-    from :class:`TripSource` answers, so two sources honouring the
-    canonical-ordering contract yield bit-identical reference lists.
+    Every decision is made from :class:`ArchiveTripSource` answers, whose
+    canonical ordering makes the reference lists identical across
+    archive backends.
 
     Raises:
         ValueError: If the pair is not in temporal order.
@@ -589,7 +532,6 @@ def assemble_references(
     near_i, near_j = source.near_pair(qi.point, qi1.point, cfg.phi)
 
     shared = list(near_i.keys() & near_j.keys())
-    source.announce(shared)
     screened: List[Tuple[int, int, int]] = []
     for tid in shared:
         if not _in_time_window(source, tid, qi, cfg.time_of_day_window_s):
@@ -597,7 +539,6 @@ def assemble_references(
         anchors = _screen_simple(source, tid, qi.point, qi1.point, cfg.phi)
         if anchors is not None:
             screened.append((tid, anchors[0], anchors[1]))
-    source.prefetch_spans([(tid, m, n) for tid, m, n in screened])
 
     references: List[Reference] = []
     simple_ids: Set[int] = set()
@@ -643,19 +584,14 @@ class ReferenceSearch:
     """Searches an archive for the references of a query-point pair.
 
     A thin coordinator around :func:`assemble_references`: it owns the
-    :class:`TripSource` (defaulting to the in-process
-    :class:`ArchiveTripSource` over ``archive``) and the search
-    configuration.  Pass ``source`` to run the identical kernel against a
-    different trip store — e.g. ``RemoteTripSource`` for shard-side
-    assembly.
+    :class:`ArchiveTripSource` over ``archive`` and the search
+    configuration.
 
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine`.
             Only consulted when ``config.splice_network_gap`` is on, where
             its many-to-many transition oracle scores all splice joints of
             a pair in batched sweeps instead of per-joint routing calls.
-        source: Optional :class:`TripSource` overriding the default
-            archive-backed one.
     """
 
     def __init__(
@@ -664,17 +600,12 @@ class ReferenceSearch:
         network: RoadNetwork,
         config: ReferenceSearchConfig = ReferenceSearchConfig(),
         engine=None,
-        source: Optional[TripSource] = None,
     ) -> None:
         self._archive = archive
         self._network = network
         self._config = config
         self._engine = engine
-        self._source = source if source is not None else ArchiveTripSource(archive)
-
-    @property
-    def source(self) -> TripSource:
-        return self._source
+        self._source = ArchiveTripSource(archive)
 
     def search(self, qi: GPSPoint, qi1: GPSPoint) -> List[Reference]:
         """All references w.r.t. ``<q_i, q_{i+1}>``, simple ones first.

@@ -112,15 +112,6 @@ class HRISConfig:
         shortest_path: Point-to-point engine query algorithm: ``"astar"``
             (seed discipline) or ``"bidi"`` (bidirectional ALT).  Routes
             and distances are identical; only the searched volume shrinks.
-        reference_mode: Where reference candidates are assembled.
-            ``"local"`` (default, the seed behaviour) reads whole
-            trajectories from the archive's client-held trip store;
-            ``"shard"`` runs the same kernel over the archive's
-            ``trip_source()`` — shard servers summarise and assemble
-            candidates from the observations they own
-            (``repro-remote-v4``), so the client needs no trip store.
-            Requires a backend exposing ``trip_source()`` (the remote
-            backend).  Results are bit-identical either way.
     """
 
     phi: float = 500.0
@@ -154,7 +145,6 @@ class HRISConfig:
     oracle_cache_size: int = 2_048
     transition_oracle: str = "per_pair"
     shortest_path: str = "astar"
-    reference_mode: str = "local"
 
     def __post_init__(self) -> None:
         if self.local_method not in ("hybrid", "tgi", "nni"):
@@ -167,11 +157,6 @@ class HRISConfig:
             )
         if self.shortest_path not in SHORTEST_PATHS:
             raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
-        if self.reference_mode not in ("local", "shard"):
-            raise ValueError(
-                f"unknown reference_mode {self.reference_mode!r}; "
-                f"choose 'local' or 'shard'"
-            )
 
     def tgi_config(self) -> TGIConfig:
         return TGIConfig(
@@ -279,22 +264,8 @@ class HRIS:
         self._engine = RoutingEngine(
             network, config.engine_config(), landmarks=landmark_index
         )
-        trip_source = None
-        if config.reference_mode == "shard":
-            factory = getattr(archive, "trip_source", None)
-            if factory is None:
-                raise ValueError(
-                    "reference_mode='shard' needs an archive backend with "
-                    "shard-side reference ops (the remote backend); "
-                    f"{type(archive).__name__} has no trip_source()"
-                )
-            trip_source = factory()
         self._reference_search = ReferenceSearch(
-            archive,
-            network,
-            config.reference_config(),
-            engine=self._engine,
-            source=trip_source,
+            archive, network, config.reference_config(), engine=self._engine
         )
         self._tgi = TraverseGraphInference(
             network, config.tgi_config(), engine=self._engine
@@ -337,10 +308,7 @@ class HRIS:
         happens, never what is computed); only cache warm-up is private.
 
         The gateway (:mod:`repro.serve`) builds one clone per worker so
-        concurrent requests never share a mutable engine.  With
-        ``reference_mode="shard"`` the clone opens its own
-        ``trip_source()`` session, since a reference-assembly session
-        carries per-query state.
+        concurrent requests never share a mutable engine.
         """
         return HRIS(
             self._network,

@@ -45,6 +45,12 @@ class TestParser:
                 ["infer", "--world", "x", "--method", "bogus"]
             )
 
+    def test_reference_mode_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["infer", "--world", "x", "--reference-mode", "shard"]
+            )
+
     def test_archive_serve_replica_of_parses(self):
         args = build_parser().parse_args(
             ["archive-serve", "--replica-of", "1", "--num-shards", "2",

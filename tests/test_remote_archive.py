@@ -111,6 +111,67 @@ class TestOwnership:
             conn.close()
 
 
+class TestNonFiniteInput:
+    """Non-finite coordinates, timestamps and radii get a typed
+    ``bad_request`` reply on a connection that stays open, and leave the
+    log position and point count unchanged.  A dropped connection would
+    look like a dead replica to the client."""
+
+    #: One request per op and field; ``BAD`` is replaced by the value
+    #: under test.
+    CASES = {
+        "insert_x": {"op": "insert", "points": [[1, 0, "BAD", 10.0, 0.0]]},
+        "insert_y": {"op": "insert", "points": [[1, 0, 10.0, "BAD", 0.0]]},
+        "insert_t": {"op": "insert", "points": [[1, 0, 10.0, 10.0, "BAD"]]},
+        "delete": {"op": "delete", "points": [[0, 0, "BAD", 10.0]]},
+        "circles_center": {"op": "search_circles", "queries": [["BAD", 0.0, 1.0]]},
+        "circles_radius": {"op": "search_circles", "queries": [[0.0, 0.0, "BAD"]]},
+        "bbox": {"op": "search_bbox", "bbox": [0.0, 0.0, "BAD", 10.0]},
+        "pair_point": {
+            "op": "near_pair",
+            "qi": ["BAD", 0.0],
+            "qi1": [0.0, 0.0],
+            "radius": 100.0,
+        },
+        "pair_radius": {
+            "op": "near_pair",
+            "qi": [0.0, 0.0],
+            "qi1": [10.0, 0.0],
+            "radius": "BAD",
+        },
+    }
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_as_bad_request_without_lsn_bump(self, case, bad):
+        from repro.core.remote import _recv_frame, _send_frame
+
+        def substitute(value):
+            if isinstance(value, list):
+                return [substitute(v) for v in value]
+            return bad if value == "BAD" else value
+
+        server = ArchiveShardServer(0, 1, TILE).start()
+        sock = socket.create_connection(server.address, timeout=5.0)
+
+        def call(payload):
+            _send_frame(sock, dict(payload, v=_WIRE_V))
+            reply = _recv_frame(sock)
+            assert reply is not None, "server dropped the connection"
+            return reply
+
+        try:
+            seed = call({"op": "insert", "points": [[0, 0, 10.0, 10.0, 0.0]]})
+            assert seed["lsn"] == 1
+            reply = call({k: substitute(v) for k, v in self.CASES[case].items()})
+            assert (reply["ok"], reply["kind"]) == (False, "bad_request")
+            stats = call({"op": "stats"})
+            assert (stats["lsn"], stats["num_points"]) == (1, 1)
+        finally:
+            sock.close()
+            server.stop()
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_randomised_queries_identical(self, cluster, seed):

@@ -527,7 +527,7 @@ class TestTransportHardening:
                 _send_frame(sock, request)
                 reply = _recv_frame(sock)
                 assert reply["ok"] is True
-                assert reply["protocol"] == "repro-remote-v4"
+                assert reply["protocol"] == "repro-remote-v5"
                 assert reply["replica_id"] == 0
         finally:
             sock.close()
