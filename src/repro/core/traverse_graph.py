@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.reference import Reference, reference_traversed_segments
 from repro.geo.point import Point, midpoint
 from repro.roadnet.connectivity import strongly_connected_components
-from repro.roadnet.ksp import yen_k_shortest_paths
+from repro.roadnet.ksp import ShortestPathTrees, yen_k_shortest_paths
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 from repro.roadnet.shortest_path import shortest_route_between_segments
@@ -101,8 +101,16 @@ class TGIConfig:
             raise ValueError("lambda must be at least 1")
         if self.k_shortest < 1:
             raise ValueError("k_shortest must be at least 1")
-        if self.candidate_radius <= 0:
-            raise ValueError("candidate_radius must be positive")
+        # Each value below that fails its check would make every pair fall
+        # back: no candidate edges, no routes kept, or nothing returned.
+        if not 0 < self.candidate_radius < math.inf:
+            raise ValueError("candidate_radius must be positive and finite")
+        if self.max_endpoint_candidates < 1:
+            raise ValueError("max_endpoint_candidates must be at least 1")
+        if self.max_routes < 1:
+            raise ValueError("max_routes must be at least 1")
+        if math.isnan(self.max_detour_ratio):
+            raise ValueError("max_detour_ratio must not be NaN")
 
 
 @dataclass(slots=True)
@@ -191,13 +199,16 @@ class TraverseGraphInference:
             for node, out in links.items()
         }
 
+        # Every search below runs on this one graph, so they share their
+        # shortest-path runs; the paths are the same as without sharing.
+        trees = ShortestPathTrees(adj_lists)
         seen: Set[Tuple[int, ...]] = set()
         scored: List[Tuple[float, Route]] = []
         for src in sources:
             for dst in destinations:
                 stats.n_ksp_calls += 1
                 for cost, node_path in yen_k_shortest_paths(
-                    adj_lists, src, dst, cfg.k_shortest
+                    adj_lists, src, dst, cfg.k_shortest, trees=trees
                 ):
                     route = self._project(node_path, links)
                     if route is None:

@@ -1,5 +1,7 @@
 """Unit tests for the traverse-graph inference (Algorithm 1)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,29 @@ class TestConfig:
             TGIConfig(k_shortest=0)
         with pytest.raises(ValueError):
             TGIConfig(candidate_radius=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("candidate_radius", math.nan),
+            ("candidate_radius", math.inf),
+            ("max_detour_ratio", math.nan),
+            ("max_endpoint_candidates", 0),
+            ("max_endpoint_candidates", -1),
+            ("max_routes", 0),
+            ("max_routes", -3),
+        ],
+    )
+    def test_values_that_would_empty_tgi_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TGIConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_detour_ratio", math.inf), ("max_detour_ratio", 0.0), ("max_routes", 1)],
+    )
+    def test_boundary_values_accepted(self, field, value):
+        TGIConfig(**{field: value})
 
 
 class TestFilterDetours:
