@@ -9,18 +9,6 @@ Measures, on the standard evaluation world:
 * **engine sequential** — HRIS with the default :class:`EngineConfig`
   (ALT landmarks + bounded shared caches), still one query at a time:
   the single-query latency win;
-* **table oracle** — the engine config plus ``transition_oracle="table"``
-  and ``shortest_path="bidi"``: matcher transitions served by batched
-  many-to-many sweeps and residual pair routing by bidirectional ALT,
-  sequential and under a forced 4-worker pool; settled-nodes-per-query
-  quantifies the sweep-vs-per-pair reduction;
-* **matcher preprocessing** — the workload the table oracle targets
-  head-on: HMM map matching (the Sec. II-B preprocessing step) of long
-  drives over a larger grid city, where candidate end nodes rarely
-  repeat and the per-pair oracle pays one full Dijkstra table per
-  distinct source.  Matched through ``per_pair`` and ``table`` engines;
-  outputs must be identical, and the settled-node counts expose the
-  many-to-many sweep saving directly;
 * **batch** — :meth:`HRIS.infer_routes_batch` over the whole query set
   with the requested worker count (the auto policy forks only on
   multi-core machines), plus the forced-pool time for transparency;
@@ -202,104 +190,6 @@ def main(argv=None) -> int:
     t_engine = sum(lat_engine)
     engine_stats = config_stats(h_engine, engine_before)
     print(f"engine             sequential: {t_engine:.3f}s")
-
-    # --- table oracle + bidirectional ALT: batched transitions ------------
-    table_cfg = HRISConfig(transition_oracle="table", shortest_path="bidi")
-    h_table = HRIS(scenario.network, scenario.archive, table_cfg)
-    table_before = h_table.engine.stats()
-    res_table, lat_table = time_sequential(h_table, queries)
-    t_table = sum(lat_table)
-    table_stats = config_stats(h_table, table_before)
-    print(
-        f"table oracle       sequential: {t_table:.3f}s  "
-        f"settled {table_stats['settled_nodes']:.0f} nodes "
-        f"({table_stats['sweeps']:.0f} sweeps, "
-        f"{table_stats['fallback_searches']:.0f} fallbacks)"
-    )
-
-    h_tb = HRIS(scenario.network, scenario.archive, table_cfg)
-    t0 = time.perf_counter()
-    res_tb = h_tb.infer_routes_batch(
-        queries, workers=args.workers, use_processes=True
-    )
-    t_tb = time.perf_counter() - t0
-    print(f"table oracle batch workers={args.workers} (forced pool): {t_tb:.3f}s")
-
-    # --- matcher preprocessing: per-pair vs table -------------------------
-    # The standard scenario's network is small enough that the per-pair
-    # oracle's LRU amortises its full tables across queries; map-matching
-    # long drives on a larger grid is where distinct sources dominate and
-    # the many-to-many sweeps actually change the wall clock.
-    import numpy as np  # noqa: E402
-
-    from repro.mapmatching.hmm import HMMConfig, HMMMatcher  # noqa: E402
-    from repro.roadnet.engine import EngineConfig, RoutingEngine  # noqa: E402
-    from repro.roadnet.generators import GridCityConfig, grid_city  # noqa: E402
-    from repro.roadnet.shortest_path import (  # noqa: E402
-        shortest_route_between_nodes,
-    )
-    from repro.trajectory.simulate import DriveConfig, drive_route  # noqa: E402
-
-    grid_n = 12 if args.smoke else 20
-    n_drives = 3 if args.smoke else 6
-    match_city = grid_city(
-        GridCityConfig(nx=grid_n, ny=grid_n, drop_fraction=0.08, one_way_fraction=0.1),
-        np.random.default_rng(41),
-    )
-    match_nodes = len(list(match_city.nodes()))
-    drive_rng = np.random.default_rng(5)
-    match_trajs = []
-    for k in range(n_drives):
-        a, b = drive_rng.choice(match_nodes, size=2, replace=False)
-        __, route = shortest_route_between_nodes(match_city, int(a), int(b))
-        if not route.segment_ids:
-            continue
-        drive = drive_route(
-            match_city,
-            route,
-            traj_id=k,
-            config=DriveConfig(sample_interval_s=15.0, gps_sigma_m=12.0),
-            rng=np.random.default_rng(100 + k),
-        )
-        match_trajs.append(drive.trajectory)
-
-    matcher_rows = {}
-    matcher_outputs = {}
-    for kind, eng_cfg in (
-        ("per_pair", EngineConfig()),
-        ("table", EngineConfig(transition_oracle="table", shortest_path="bidi")),
-    ):
-        eng = RoutingEngine(match_city, eng_cfg)
-        matcher = HMMMatcher(match_city, HMMConfig(), engine=eng)
-        t0 = time.perf_counter()
-        matched = [matcher.match(t) for t in match_trajs]
-        t_kind = time.perf_counter() - t0
-        eng_st = eng.stats()
-        matcher_rows[kind] = {
-            "total_s": round(t_kind, 4),
-            "settled_nodes": eng_st.settled_nodes,
-            "sweeps": eng_st.sweeps,
-            "fallback_searches": eng_st.fallback_searches,
-        }
-        matcher_outputs[kind] = [
-            (
-                tuple(m.route.segment_ids),
-                tuple(
-                    None if c is None else c.segment.segment_id for c in m.matched
-                ),
-            )
-            for m in matched
-        ]
-    t_match_pp = matcher_rows["per_pair"]["total_s"]
-    t_match_tb = matcher_rows["table"]["total_s"]
-    print(
-        f"matcher preprocessing ({match_nodes}-node grid, "
-        f"{sum(len(t) for t in match_trajs)} points): "
-        f"per_pair {t_match_pp:.3f}s "
-        f"({matcher_rows['per_pair']['settled_nodes']} settled)  "
-        f"table {t_match_tb:.3f}s "
-        f"({matcher_rows['table']['settled_nodes']} settled)"
-    )
 
     # --- batch: workers=1 then the requested worker count -----------------
     h_b1 = HRIS(scenario.network, scenario.archive, HRISConfig())
@@ -690,10 +580,6 @@ def main(argv=None) -> int:
     ref = result_keys(res_seed)
     identical = {
         "engine_vs_seed": result_keys(res_engine) == ref,
-        "table_oracle_vs_seed": result_keys(res_table) == ref,
-        "table_oracle_batch_vs_seed": result_keys(res_tb) == ref,
-        "matcher_table_vs_per_pair": matcher_outputs["table"]
-        == matcher_outputs["per_pair"],
         "batch1_vs_seed": result_keys(res_b1) == ref,
         "batch_vs_seed": result_keys(res_bn) == ref,
         "forced_pool_vs_seed": result_keys(res_bf) == ref,
@@ -738,33 +624,6 @@ def main(argv=None) -> int:
                 engine_stats["settled_nodes"] / len(queries), 2
             ),
             "stats": engine_stats,
-        },
-        "engine_table_oracle": {
-            "total_s": round(t_table, 4),
-            "mean_latency_s": round(t_table / len(queries), 4),
-            f"workers_{args.workers}_forced_pool_total_s": round(t_tb, 4),
-            "settled_nodes_per_query": round(
-                table_stats["settled_nodes"] / len(queries), 2
-            ),
-            "settled_reduction_vs_engine": round(
-                engine_stats["settled_nodes"]
-                / max(1.0, table_stats["settled_nodes"]),
-                3,
-            ),
-            "stats": table_stats,
-        },
-        "matcher_preprocessing": {
-            "grid_nodes": match_nodes,
-            "trajectories": len(match_trajs),
-            "points": sum(len(t) for t in match_trajs),
-            "per_pair": matcher_rows["per_pair"],
-            "table": matcher_rows["table"],
-            "speedup_table_vs_per_pair": round(t_match_pp / t_match_tb, 3),
-            "settled_reduction_table_vs_per_pair": round(
-                matcher_rows["per_pair"]["settled_nodes"]
-                / max(1, matcher_rows["table"]["settled_nodes"]),
-                3,
-            ),
         },
         "batch": {
             "workers_1_total_s": round(t_b1, 4),
@@ -875,9 +734,6 @@ def main(argv=None) -> int:
         },
         "speedups": {
             "single_query_engine_vs_seed": round(t_seed / t_engine, 3),
-            "single_query_table_oracle_vs_seed": round(t_seed / t_table, 3),
-            "table_oracle_vs_engine_sequential": round(t_engine / t_table, 3),
-            "matcher_table_vs_per_pair": round(t_match_pp / t_match_tb, 3),
             "batch_vs_seed_baseline": round(t_seed / t_bn, 3),
             "batch_vs_engine_sequential": round(t_engine / t_bn, 3),
         },

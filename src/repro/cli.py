@@ -61,15 +61,6 @@ LANDMARKS_FILE = "landmarks.json"
 #: the remote module at parser-build time (server imports stay lazy).
 _DEFAULT_COMPACT_EVERY = 4096
 
-#: ``--routing`` choices mapped to HRISConfig knobs: each tier is gated
-#: bit-identical, so this flag only changes how much work queries do.
-_ROUTING_TIERS = {
-    "astar": {},
-    "bidi": {"shortest_path": "bidi"},
-    "table": {"shortest_path": "bidi", "transition_oracle": "table"},
-}
-
-
 class _CLIError(Exception):
     """A usage error detected after parsing (printed to stderr, exit 2)."""
 
@@ -120,20 +111,6 @@ def _add_archive_options(cmd: argparse.ArgumentParser) -> None:
         help=(
             "do not reuse/persist the ALT landmark index next to the "
             "saved world (landmarks.json)"
-        ),
-    )
-
-
-def _add_routing_options(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--routing",
-        choices=tuple(_ROUTING_TIERS),
-        default="astar",
-        help=(
-            "routing tier: 'astar' (unidirectional ALT, the seed "
-            "discipline), 'bidi' (bidirectional ALT) or 'table' "
-            "(bidirectional ALT + many-to-many distance tables).  Results "
-            "are bit-identical in every case"
         ),
     )
 
@@ -206,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="local inference method",
     )
     _add_archive_options(inf)
-    _add_routing_options(inf)
 
     ev = sub.add_parser("evaluate", help="compare HRIS against the baselines")
     ev.add_argument("--world", required=True, help="scenario directory")
@@ -227,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_archive_options(ev)
-    _add_routing_options(ev)
 
     gw = sub.add_parser(
         "serve",
@@ -269,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="jobs waiting for a worker before new requests are shed",
     )
     _add_archive_options(gw)
-    _add_routing_options(gw)
 
     serve = sub.add_parser(
         "archive-serve",
@@ -446,7 +420,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         return 2
     case = scenario.queries[args.query]
     query = downsample(case.query, args.interval)
-    config = HRISConfig(local_method=args.method, **_ROUTING_TIERS[args.routing])
+    config = HRISConfig(local_method=args.method)
     hris = HRIS(
         scenario.network,
         scenario.archive,
@@ -477,7 +451,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scenario = _load_world(args)
     network = scenario.network
-    config = HRISConfig(**_ROUTING_TIERS[args.routing])
+    config = HRISConfig()
     hris = HRIS(
         network,
         scenario.archive,
@@ -490,8 +464,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ),
     )
     # Competitors share the HRIS engine: same candidate cache, stitch
-    # bridges and (per the config) batched transition oracle — results are
-    # identical to standalone construction, only the work is shared.
+    # bridges and transition oracle — results are identical to standalone
+    # construction, only the work is shared.
     matchers = {
         "IVMM": IVMMMatcher(network, engine=hris.engine),
         "ST-matching": STMatcher(network, engine=hris.engine),
@@ -522,7 +496,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.max_queue < 1:
         raise _CLIError("--max-queue must be at least 1")
     scenario = _load_world(args)
-    config = HRISConfig(**_ROUTING_TIERS[args.routing])
+    config = HRISConfig()
     hris = HRIS(
         scenario.network,
         scenario.archive,

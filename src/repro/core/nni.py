@@ -77,9 +77,10 @@ class NNIConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.alpha < 0:
+        # Negated comparisons so that NaN, which compares false, fails too.
+        if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
-        if self.beta < 1.0:
+        if not self.beta >= 1.0:
             raise ValueError("beta must be at least 1")
 
 

@@ -170,15 +170,6 @@ class ReferenceSearchConfig:
             "incorporate the time" extension of the paper's future work
             (commute-hour patterns differ from midnight patterns).  None
             (the default, and the paper's behaviour) disables the filter.
-        splice_network_gap: Score splice joints by *network* distance, not
-            just the euclidean ε test — two observations ε apart across a
-            river with no bridge are not actually joinable.  Requires a
-            routing engine on the search; its batched transition oracle
-            answers every joint's distance from one frontier sweep per
-            tail-side node.  Off by default (the paper, and the identity
-            gates, use the pure euclidean Definition 7).
-        splice_gap_detour: Max network/euclidean detour ratio a splice
-            joint may have when ``splice_network_gap`` is on.
     """
 
     phi: float = 500.0
@@ -187,8 +178,6 @@ class ReferenceSearchConfig:
     splice_when_fewer_than: int = 5
     max_references: int = 60
     time_of_day_window_s: Optional[float] = None
-    splice_network_gap: bool = False
-    splice_gap_detour: float = 3.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,66 +338,8 @@ def closest_references(
     ]
 
 
-def _network_reachable_pairs(
-    best_pair: Dict[Tuple[int, int], Tuple[float, int, int]],
-    tails: Dict[int, Tuple[int, Tuple[Point, ...]]],
-    heads: Dict[int, Tuple[int, Tuple[Point, ...]]],
-    network: RoadNetwork,
-    engine,
-    cfg: ReferenceSearchConfig,
-) -> Dict[Tuple[int, int], Tuple[float, int, int]]:
-    """Drop splice joints that are close in the plane but far on the road.
-
-    Each joint's two observations are projected onto their nearest
-    segments; the joint survives when the network distance between the
-    projections stays within ``splice_gap_detour`` times ε.  All joints
-    of the pair are announced to the engine's transition oracle first,
-    so a table oracle serves them from one sweep per tail-side node.
-    """
-    bound = cfg.splice_epsilon * cfg.splice_gap_detour
-    oracle = engine.transition_oracle(bound)
-    projections: Dict[Tuple[float, float], object] = {}
-
-    def project(p: Point):
-        key = (p.x, p.y)
-        cand = projections.get(key)
-        if cand is None:
-            near = network.nearest_segments(p, 1)
-            cand = near[0] if near else None
-            projections[key] = cand
-        return cand
-
-    joints = []
-    for key, (cost, a_idx, b_idx) in best_pair.items():
-        a_tid, b_tid = key
-        a_m, a_span = tails[a_tid]
-        pa = a_span[a_idx - a_m]
-        pb = heads[b_tid][1][b_idx]
-        ca, cb = project(pa), project(pb)
-        if ca is None or cb is None:
-            continue
-        joints.append((key, (cost, a_idx, b_idx), ca, cb))
-    oracle.prepare(
-        (ca.segment.end for __, __, ca, __ in joints),
-        (cb.segment.start for __, __, __, cb in joints),
-    )
-
-    kept: Dict[Tuple[int, int], Tuple[float, int, int]] = {}
-    for key, value, ca, cb in joints:
-        gap = oracle.route_distance_between_projections(
-            ca.segment.segment_id,
-            ca.projection.offset,
-            cb.segment.segment_id,
-            cb.projection.offset,
-        )
-        if gap <= bound:
-            kept[key] = value
-    return kept
-
-
 def _spliced_references(
     source: ArchiveTripSource,
-    network: RoadNetwork,
     qi: GPSPoint,
     qi1: GPSPoint,
     near_i: Dict[int, List[int]],
@@ -417,7 +348,6 @@ def _spliced_references(
     budget: float,
     next_ref_id: int,
     cfg: ReferenceSearchConfig,
-    engine,
 ) -> List[Reference]:
     """Definition 7: join tails leaving q_i with heads reaching q_{i+1}."""
     # Candidate halves: trajectories near exactly one endpoint, minus
@@ -481,11 +411,6 @@ def _spliced_references(
                 if key not in best_pair or cost < best_pair[key][0]:
                     best_pair[key] = (cost, a_idx, b_idx)
 
-    if cfg.splice_network_gap and engine is not None:
-        best_pair = _network_reachable_pairs(
-            best_pair, tails, heads, network, engine, cfg
-        )
-
     out: List[Reference] = []
     for (a_tid, b_tid), (__, a_idx, b_idx) in best_pair.items():
         m, a_span = tails[a_tid]
@@ -514,7 +439,6 @@ def assemble_references(
     qi: GPSPoint,
     qi1: GPSPoint,
     cfg: ReferenceSearchConfig,
-    engine=None,
 ) -> List[Reference]:
     """All references w.r.t. ``<q_i, q_{i+1}>``, simple ones first.
 
@@ -560,7 +484,6 @@ def assemble_references(
         references.extend(
             _spliced_references(
                 source,
-                network,
                 qi,
                 qi1,
                 near_i,
@@ -569,7 +492,6 @@ def assemble_references(
                 budget,
                 len(references),
                 cfg,
-                engine,
             )
         )
 
@@ -586,12 +508,6 @@ class ReferenceSearch:
     A thin coordinator around :func:`assemble_references`: it owns the
     :class:`ArchiveTripSource` over ``archive`` and the search
     configuration.
-
-    Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine`.
-            Only consulted when ``config.splice_network_gap`` is on, where
-            its many-to-many transition oracle scores all splice joints of
-            a pair in batched sweeps instead of per-joint routing calls.
     """
 
     def __init__(
@@ -599,12 +515,10 @@ class ReferenceSearch:
         archive: ArchiveBackend,
         network: RoadNetwork,
         config: ReferenceSearchConfig = ReferenceSearchConfig(),
-        engine=None,
     ) -> None:
         self._archive = archive
         self._network = network
         self._config = config
-        self._engine = engine
         self._source = ArchiveTripSource(archive)
 
     def search(self, qi: GPSPoint, qi1: GPSPoint) -> List[Reference]:
@@ -614,7 +528,7 @@ class ReferenceSearch:
             ValueError: If the pair is not in temporal order.
         """
         return assemble_references(
-            self._source, self._network, qi, qi1, self._config, engine=self._engine
+            self._source, self._network, qi, qi1, self._config
         )
 
     def reference_points(self, references: Sequence[Reference]) -> List[ReferencePoint]:

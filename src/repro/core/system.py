@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.archive import ArchiveBackend
@@ -40,17 +40,11 @@ from repro.core.scoring import (
 from repro.core.traverse_graph import TGIConfig, TraverseGraphInference
 from repro.geo.point import Point
 from repro.mapmatching.base import MapMatcher, MatchResult
-from repro.roadnet.engine import (
-    SHORTEST_PATHS,
-    TRANSITION_ORACLES,
-    EngineConfig,
-    EngineStats,
-    RoutingEngine,
-)
+from repro.roadnet.engine import EngineConfig, EngineStats, RoutingEngine
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.shortest_path import LandmarkIndex
 from repro.roadnet.route import Route
-from repro.trajectory.model import Trajectory
+from repro.trajectory.model import Trajectory, require_finite
 
 __all__ = ["HRISConfig", "HRIS", "HRISMatcher", "PairDetail", "InferenceDetail"]
 
@@ -73,10 +67,6 @@ class HRISConfig:
         enable_splicing: Search spliced references at all.
         splice_when_fewer_than: Splice only when fewer simple references
             than this were found (splicing targets data-sparse areas).
-        splice_network_gap: Validate splice joints by network distance via
-            the engine's batched transition oracle (see
-            :class:`~repro.core.reference.ReferenceSearchConfig`); off by
-            default — the paper's Definition 7 is purely euclidean.
         local_method: ``"hybrid"`` (default), ``"tgi"`` or ``"nni"``.
         entropy_floor: Popularity entropy floor (see scoring module).
         normalize_entropy: Normalise the popularity entropy factor to
@@ -104,14 +94,11 @@ class HRISConfig:
         candidate_cache_size: Entries of the candidate-edge cache.
         support_cache_size: Entries of the reference-support cache.
         oracle_cache_size: Source tables held by the distance oracle.
-        transition_oracle: ``"per_pair"`` (seed behaviour: one bounded
-            Dijkstra per missed source) or ``"table"`` (many-to-many
-            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`:
-            resumable batched sweeps over announced frontiers).  Results
-            are bit-identical either way.
-        shortest_path: Point-to-point engine query algorithm: ``"astar"``
-            (seed discipline) or ``"bidi"`` (bidirectional ALT).  Routes
-            and distances are identical; only the searched volume shrinks.
+
+    Raises:
+        ValueError: On a value that would silently degrade every query —
+            a NaN float, a negative radius, a non-positive time-of-day
+            window, or a reference/route count below 1.
     """
 
     phi: float = 500.0
@@ -126,7 +113,6 @@ class HRISConfig:
     splice_epsilon: float = 300.0
     enable_splicing: bool = True
     splice_when_fewer_than: int = 5
-    splice_network_gap: bool = False
     local_method: str = "hybrid"
     entropy_floor: float = 0.05
     normalize_entropy: bool = True
@@ -143,20 +129,24 @@ class HRISConfig:
     candidate_cache_size: int = 65_536
     support_cache_size: int = 16_384
     oracle_cache_size: int = 2_048
-    transition_oracle: str = "per_pair"
-    shortest_path: str = "astar"
 
     def __post_init__(self) -> None:
         if self.local_method not in ("hybrid", "tgi", "nni"):
             raise ValueError(f"unknown local_method {self.local_method!r}")
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be non-negative")
-        if self.transition_oracle not in TRANSITION_ORACLES:
-            raise ValueError(
-                f"unknown transition_oracle {self.transition_oracle!r}"
-            )
-        if self.shortest_path not in SHORTEST_PATHS:
-            raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
+        for f in fields(self):
+            if f.type in ("float", float) and math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
+        for name in ("phi", "candidate_radius", "splice_epsilon"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        window = self.time_of_day_window_s
+        if window is not None and not 0 < window < math.inf:
+            raise ValueError("time_of_day_window_s must be positive and finite")
+        for name in ("max_references", "k1", "k2", "k3"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def tgi_config(self) -> TGIConfig:
         return TGIConfig(
@@ -188,7 +178,6 @@ class HRISConfig:
             splice_when_fewer_than=self.splice_when_fewer_than,
             max_references=self.max_references,
             time_of_day_window_s=self.time_of_day_window_s,
-            splice_network_gap=self.splice_network_gap,
         )
 
     def engine_config(self) -> EngineConfig:
@@ -198,8 +187,6 @@ class HRISConfig:
             candidate_cache_size=self.candidate_cache_size,
             support_cache_size=self.support_cache_size,
             oracle_sources=self.oracle_cache_size,
-            transition_oracle=self.transition_oracle,
-            shortest_path=self.shortest_path,
         )
 
 
@@ -265,7 +252,7 @@ class HRIS:
             network, config.engine_config(), landmarks=landmark_index
         )
         self._reference_search = ReferenceSearch(
-            archive, network, config.reference_config(), engine=self._engine
+            archive, network, config.reference_config()
         )
         self._tgi = TraverseGraphInference(
             network, config.tgi_config(), engine=self._engine
@@ -327,7 +314,8 @@ class HRIS:
             k: Number of global routes; defaults to the configured k3.
 
         Raises:
-            ValueError: If the query has fewer than two points.
+            ValueError: If the query has fewer than two points or a
+                non-finite coordinate or timestamp.
         """
         routes, __ = self.infer_routes_with_details(query, k)
         return routes
@@ -338,6 +326,7 @@ class HRIS:
         """As :meth:`infer_routes`, also returning per-phase diagnostics."""
         if len(query) < 2:
             raise ValueError("a query needs at least two points")
+        require_finite(query.points)
         k = k if k is not None else self._config.k3
         detail = InferenceDetail()
         engine_before = self._engine.stats()
@@ -396,8 +385,14 @@ class HRIS:
                 ``True`` forces the pool regardless (the equivalence test
                 exercises the fork path this way); ``False`` forces
                 sequential.
+
+        Raises:
+            ValueError: If any query has a non-finite coordinate or
+                timestamp (checked before any inference runs).
         """
         queries = list(trajectories)
+        for query in queries:
+            require_finite(query.points)
         if use_processes is None:
             use_processes = (multiprocessing.cpu_count() or 1) > 1
         if not use_processes or workers <= 1 or len(queries) < 2:
@@ -417,9 +412,6 @@ class HRIS:
         prepare = getattr(self._archive, "prepare_for_fork", None)
         if prepare is not None:
             prepare()
-        # Table oracles: seal resumable sweep heaps so forked workers share
-        # the warm distance rows copy-on-write instead of re-sweeping.
-        self._engine.prepare_for_fork()
         _BATCH_STATE = (self, k, queries)
         try:
             with ctx.Pool(processes=workers) as pool:

@@ -57,10 +57,9 @@ class HMMMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` used
             for memoised candidate lookups, cached stitch bridges and the
-            engine-owned transition oracle (per-pair or many-to-many table,
-            per ``EngineConfig.transition_oracle`` — bit-identical results
-            either way).  Without an engine a local per-pair
-            :class:`DistanceOracle` preserves the seed behaviour.
+            engine-owned transition oracle (bit-identical results).  Without
+            an engine a local :class:`DistanceOracle` preserves the seed
+            behaviour.
     """
 
     def __init__(
@@ -101,26 +100,13 @@ class HMMMatcher(MapMatcher):
 
         inf = math.inf
         beta = cfg.beta
-        oracle_prepare = self._oracle.prepare
+        oracle_table = self._oracle.table
         for i in range(1, n):
             d_euclid = pts[i].point.distance_to(pts[i - 1].point)
-            # Frontier batching: announce this step's source/target node
-            # sets so a table oracle covers them with one paused sweep per
-            # source (the per-pair oracle builds its full tables instead).
-            # Both return per-source plain dicts, exact for every announced
-            # target, so the inner pair loop stays at dict.get speed.
-            prev_score = score[i - 1]
-            tables = oracle_prepare(
-                (
-                    c.segment.end
-                    for k, c in enumerate(layers[i - 1])
-                    if prev_score[k] != -inf
-                ),
-                (c.segment.start for c in layers[i]),
-            )
             # Per-previous-candidate state hoisted out of the pair loop: the
             # distance table, segment id, offset and tail length are the
-            # same for every current candidate, so fetch them once.  The
+            # same for every current candidate, so fetch them once (the
+            # table is a plain dict, read at dict.get speed below).  The
             # inlined arithmetic below mirrors
             # DistanceOracle.route_distance_between_projections exactly.
             prev_info: List[Optional[tuple]] = []
@@ -132,7 +118,13 @@ class HMMMatcher(MapMatcher):
                 seg = prev_cand.segment
                 off = prev_cand.projection.offset
                 prev_info.append(
-                    (sc, seg.segment_id, off, seg.length - off, tables[seg.end])
+                    (
+                        sc,
+                        seg.segment_id,
+                        off,
+                        seg.length - off,
+                        oracle_table(seg.end),
+                    )
                 )
             cur: List[float] = []
             par: List[int] = []

@@ -65,7 +65,7 @@ class IncrementalMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -101,12 +101,6 @@ class IncrementalMatcher(MapMatcher):
             if not candidates:
                 chosen.append(None)
                 continue
-            if prev is not None:
-                # Single-source frontier of this step's continuity gaps.
-                self._oracle.prepare(
-                    (prev.segment.end,),
-                    (c.segment.start for c in candidates),
-                )
             best = max(
                 candidates,
                 key=lambda c: self._score(c, gps.point, prev, prev_point),

@@ -62,7 +62,7 @@ class IVMMMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -105,12 +105,6 @@ class IVMMMatcher(MapMatcher):
         for i in range(1, n):
             dt = pts[i].t - pts[i - 1].t
             d_euclid = pts[i].point.distance_to(pts[i - 1].point)
-            # The full frontier product of this step is about to be scored:
-            # let a table oracle cover it with one paused sweep per source.
-            self._oracle.prepare(
-                (c.segment.end for c in layers[i - 1]),
-                (c.segment.start for c in layers[i]),
-            )
             matrix: List[List[float]] = []
             for prev_cand in layers[i - 1]:
                 row = [

@@ -58,7 +58,7 @@ class STMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -103,17 +103,6 @@ class STMatcher(MapMatcher):
             cur_parent: List[int] = []
             dt = pts[i].t - pts[i - 1].t
             d_euclid = pts[i].point.distance_to(pts[i - 1].point)
-            # Announce this step's frontier product so a table oracle can
-            # cover it with one paused sweep per source (per-pair: no-op).
-            prev_scores = score[i - 1]
-            self._oracle.prepare(
-                (
-                    c.segment.end
-                    for k, c in enumerate(layers[i - 1])
-                    if prev_scores[k] != -math.inf
-                ),
-                (c.segment.start for c in layers[i]),
-            )
             for j, cand in enumerate(layers[i]):
                 obs = gps_probability(cand.distance, cfg.sigma)
                 best_val = -math.inf

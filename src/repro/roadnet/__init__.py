@@ -27,16 +27,13 @@ from repro.roadnet.shortest_path import (
     LandmarkIndex,
     SearchStats,
     astar,
-    bidi_astar,
     combined_heuristic,
-    combined_heuristic_from,
     dijkstra,
     dijkstra_all,
     node_path_to_route,
     shortest_route_between_nodes,
     shortest_route_between_segments,
 )
-from repro.roadnet.table_oracle import DistanceTableOracle
 
 __all__ = [
     "ARTERIAL_SPEED",
@@ -45,7 +42,6 @@ __all__ = [
     "CacheStats",
     "CandidateEdge",
     "DistanceOracle",
-    "DistanceTableOracle",
     "EngineConfig",
     "EngineStats",
     "GridCityConfig",
@@ -58,9 +54,7 @@ __all__ = [
     "RoutingEngine",
     "SearchStats",
     "astar",
-    "bidi_astar",
     "combined_heuristic",
-    "combined_heuristic_from",
     "dijkstra",
     "dijkstra_all",
     "dijkstra_generic",

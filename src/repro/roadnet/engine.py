@@ -14,7 +14,8 @@ shortest-path fallback.  It bundles:
   and their Definition 5 lookups dominate the profile,
 * a **reference-support cache** — the traversed-segment set of a reference
   is needed by both the traverse graph and the scoring stage, and
-* an LRU-bounded :class:`~repro.roadnet.shortest_path.DistanceOracle`.
+* one LRU-bounded :class:`~repro.roadnet.shortest_path.DistanceOracle`
+  per search bound, serving the matchers' transition distances.
 
 Every cache is exact-keyed, so engine-backed inference returns bit-identical
 results to the uncached seed code path; the engine only changes *when* work
@@ -39,21 +40,8 @@ from repro.roadnet.shortest_path import (
     shortest_route_between_nodes,
     shortest_route_between_segments,
 )
-from repro.roadnet.table_oracle import DistanceTableOracle
 
-__all__ = [
-    "EngineConfig",
-    "EngineStats",
-    "RoutingEngine",
-    "SHORTEST_PATHS",
-    "TRANSITION_ORACLES",
-]
-
-#: The oracle kind serving matcher transition lookups (see ``EngineConfig``).
-TRANSITION_ORACLES = ("per_pair", "table")
-
-#: The algorithm behind residual single-pair route searches.
-SHORTEST_PATHS = ("astar", "bidi")
+__all__ = ["EngineConfig", "EngineStats", "RoutingEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,18 +55,7 @@ class EngineConfig:
             (0 disables).
         candidate_cache_size: Entries of the candidate-edge cache.
         support_cache_size: Entries of the reference-support cache.
-        oracle_sources: Source tables/rows held by each distance oracle.
-        oracle_max_distance: Search bound of the engine's own oracle.
-        transition_oracle: ``"per_pair"`` (one full bounded Dijkstra per
-            source, the seed discipline), ``"table"`` (many-to-many
-            frontier sweeps via
-            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`).
-            Results are bit-identical; only the work differs.
-        shortest_path: The algorithm behind residual single-pair route
-            searches: ``"astar"`` (unidirectional ALT A*, the seed
-            discipline) or ``"bidi"`` (meet-in-the-middle
-            :func:`~repro.roadnet.shortest_path.bidi_astar`).  Identical
-            routes in either case.
+        oracle_sources: Source tables held by each distance oracle.
     """
 
     n_landmarks: int = 8
@@ -86,29 +63,16 @@ class EngineConfig:
     candidate_cache_size: int = 65_536
     support_cache_size: int = 16_384
     oracle_sources: int = 2_048
-    oracle_max_distance: float = math.inf
-    transition_oracle: str = "per_pair"
-    shortest_path: str = "astar"
-
-    def __post_init__(self) -> None:
-        if self.transition_oracle not in TRANSITION_ORACLES:
-            raise ValueError(
-                f"unknown transition_oracle {self.transition_oracle!r}"
-            )
-        if self.shortest_path not in SHORTEST_PATHS:
-            raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
 
 
 @dataclass(slots=True)
 class EngineStats:
     """A snapshot of every engine counter (all deltas are per-snapshot).
 
-    ``oracle`` aggregates the source-row hit/miss/eviction counters of
+    ``oracle`` aggregates the source-table hit/miss/eviction counters of
     *every* engine-owned transition oracle (one per distinct search bound),
     so matcher transition traffic shows up here — the seed engine kept a
-    private, never-used oracle and reported zeros.  ``sweeps`` and
-    ``fallback_searches`` are non-zero only for the table oracle: frontier
-    sweeps run and stray single-pair fallbacks taken.
+    private, never-used oracle and reported zeros.
     """
 
     route_cache: CacheStats = field(default_factory=CacheStats)
@@ -118,8 +82,6 @@ class EngineStats:
     searches: int = 0
     settled_nodes: int = 0
     landmarks: int = 0
-    sweeps: int = 0
-    fallback_searches: int = 0
 
     def delta(self, earlier: "EngineStats") -> "EngineStats":
         return EngineStats(
@@ -130,8 +92,6 @@ class EngineStats:
             searches=self.searches - earlier.searches,
             settled_nodes=self.settled_nodes - earlier.settled_nodes,
             landmarks=self.landmarks,
-            sweeps=self.sweeps - earlier.sweeps,
-            fallback_searches=self.fallback_searches - earlier.fallback_searches,
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -140,8 +100,6 @@ class EngineStats:
             "searches": self.searches,
             "settled_nodes": self.settled_nodes,
             "landmarks": self.landmarks,
-            "sweeps": self.sweeps,
-            "fallback_searches": self.fallback_searches,
         }
         for name, cache in (
             ("route_cache", self.route_cache),
@@ -193,8 +151,7 @@ class RoutingEngine:
         # One transition oracle per distinct search bound: the bound is part
         # of each matcher's model, so oracles are keyed by it and all feed
         # the same aggregated stats.
-        self._transition_oracles: Dict[float, object] = {}
-        self._oracle = self.transition_oracle(config.oracle_max_distance)
+        self._transition_oracles: Dict[float, DistanceOracle] = {}
 
     # ------------------------------------------------------------ properties
 
@@ -210,37 +167,22 @@ class RoutingEngine:
     def landmarks(self) -> Optional[LandmarkIndex]:
         return self._landmarks
 
-    @property
-    def oracle(self):
-        """The engine's own distance oracle (at ``oracle_max_distance``)."""
-        return self._oracle
-
-    def transition_oracle(self, max_distance: float = math.inf):
+    def transition_oracle(self, max_distance: float = math.inf) -> DistanceOracle:
         """The engine-owned transition oracle for one search bound.
 
         Matchers fetch their oracle here instead of building a private
-        :class:`DistanceOracle`, so the oracle kind follows
-        ``config.transition_oracle`` and all hit/miss/sweep counters land
-        in :meth:`stats`.  One oracle is kept per distinct ``max_distance``
+        :class:`DistanceOracle`, so its hit/miss counters land in
+        :meth:`stats`.  One oracle is kept per distinct ``max_distance``
         (the bound is part of each matcher's model) and shared by every
         component using that bound.
         """
         oracle = self._transition_oracles.get(max_distance)
         if oracle is None:
-            if self._config.transition_oracle == "table":
-                oracle = DistanceTableOracle(
-                    self._network,
-                    max_distance=max_distance,
-                    max_rows=self._config.oracle_sources,
-                    landmarks=self._landmarks,
-                    search_stats=self._search_stats,
-                )
-            else:
-                oracle = DistanceOracle(
-                    self._network,
-                    max_distance=max_distance,
-                    max_sources=self._config.oracle_sources,
-                )
+            oracle = DistanceOracle(
+                self._network,
+                max_distance=max_distance,
+                max_sources=self._config.oracle_sources,
+            )
             self._transition_oracles[max_distance] = oracle
         return oracle
 
@@ -249,7 +191,7 @@ class RoutingEngine:
     def shortest_route_between_segments(
         self, from_segment: int, to_segment: int
     ) -> Tuple[float, Route]:
-        """Cached segment-to-segment shortest route (tier per config)."""
+        """Cached segment-to-segment shortest route (ALT A*)."""
         return self._route_cache.get_or_compute(
             (from_segment, to_segment),
             lambda: shortest_route_between_segments(
@@ -258,14 +200,13 @@ class RoutingEngine:
                 to_segment,
                 landmarks=self._landmarks,
                 stats=self._search_stats,
-                bidirectional=self._config.shortest_path == "bidi",
             ),
         )
 
     def shortest_route_between_nodes(
         self, source: int, target: int
     ) -> Tuple[float, Route]:
-        """Cached node-to-node shortest route (tier per config)."""
+        """Cached node-to-node shortest route (ALT A*)."""
         return self._node_route_cache.get_or_compute(
             (source, target),
             lambda: shortest_route_between_nodes(
@@ -274,13 +215,8 @@ class RoutingEngine:
                 target,
                 landmarks=self._landmarks,
                 stats=self._search_stats,
-                bidirectional=self._config.shortest_path == "bidi",
             ),
         )
-
-    def distance(self, source: int, target: int) -> float:
-        """Node-to-node network distance via the shared oracle."""
-        return self._oracle.distance(source, target)
 
     # -------------------------------------------------------------- geometry
 
@@ -323,16 +259,12 @@ class RoutingEngine:
         """A point-in-time snapshot of all engine counters."""
         oracle_stats = CacheStats()
         settled = self._search_stats.settled
-        sweeps = 0
-        fallbacks = 0
         for oracle in self._transition_oracles.values():
             snap = oracle.stats
             oracle_stats.hits += snap.hits
             oracle_stats.misses += snap.misses
             oracle_stats.evictions += snap.evictions
             settled += oracle.settled_nodes
-            sweeps += getattr(oracle, "sweeps", 0)
-            fallbacks += getattr(oracle, "fallbacks", 0)
         return EngineStats(
             route_cache=self._route_cache.stats.snapshot(),
             candidate_cache=self._candidate_cache.stats.snapshot(),
@@ -341,21 +273,7 @@ class RoutingEngine:
             searches=self._search_stats.searches,
             settled_nodes=settled,
             landmarks=len(self._landmarks) if self._landmarks else 0,
-            sweeps=sweeps,
-            fallback_searches=fallbacks,
         )
-
-    def prepare_for_fork(self) -> None:
-        """Compact mutable oracle state before a batch pool forks.
-
-        Table-oracle rows seal their pending heaps into tuples so workers
-        share the warmed rows copy-on-write; per-pair oracles have nothing
-        to seal.  Results-neutral either way.
-        """
-        for oracle in self._transition_oracles.values():
-            seal = getattr(oracle, "prepare_for_fork", None)
-            if seal is not None:
-                seal()
 
     def clear_caches(self) -> None:
         """Drop cached values (landmark tables are kept — they are exact)."""

@@ -19,6 +19,7 @@ __all__ = [
     "GPSPoint",
     "Trajectory",
     "LOW_SAMPLING_THRESHOLD_S",
+    "require_finite",
 ]
 
 #: The paper considers ΔT > 2 minutes to be low-sampling-rate (Sec. II-A).
@@ -60,6 +61,25 @@ class GPSPoint:
         return self.distance_to(other) / dt
 
 
+def require_finite(points: Sequence[GPSPoint]) -> None:
+    """Reject observations with a NaN or infinite x, y or t.
+
+    A non-finite coordinate otherwise surfaces far downstream as a
+    misleading "network not connected" error, or as routes scored
+    against a point that is nowhere on the map.
+
+    Raises:
+        ValueError: Naming the first offending observation.
+    """
+    isfinite = math.isfinite
+    for i, p in enumerate(points):
+        if not (isfinite(p.point.x) and isfinite(p.point.y) and isfinite(p.t)):
+            raise ValueError(
+                f"observation {i} is not finite "
+                f"(x={p.point.x}, y={p.point.y}, t={p.t})"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class Trajectory:
     """A time-ordered sequence of GPS points (Definition 1).
@@ -75,13 +95,15 @@ class Trajectory:
 
     @staticmethod
     def build(traj_id: int, points: Sequence[GPSPoint]) -> "Trajectory":
-        """Construct a trajectory, validating temporal order.
+        """Construct a trajectory, validating values and temporal order.
 
         Raises:
-            ValueError: If empty or timestamps are not strictly increasing.
+            ValueError: If empty, an observation has a non-finite x, y or
+                t, or timestamps are not strictly increasing.
         """
         if not points:
             raise ValueError("a trajectory needs at least one point")
+        require_finite(points)
         for a, b in zip(points, points[1:]):
             if b.t <= a.t:
                 raise ValueError(

@@ -1,10 +1,13 @@
-"""Bidirectional ALT correctness: distances, canonical paths, edge cases.
+"""Canonical ALT-A* correctness: distances, canonical paths, edge cases.
 
-The repository's identity gates rest on the bidirectional search being a
-drop-in for the unidirectional one — not merely "a shortest path" but the
-*same* path (canonical min-id tie-break) with the *same* float distance.
-These tests pin both, on structured grids and on randomly generated
-networks including disconnected pairs and zero-length edges.
+Point-to-point routes run unidirectional A* under the ``max(euclidean,
+ALT)`` heuristic (:func:`combined_heuristic`).  The repository's identity
+gates rest on that search being a drop-in for Dijkstra — not merely "a
+shortest path" but the *same* path (canonical min-id tie-break) with the
+*same* float distance.  These tests pin both, on structured grids and on
+randomly generated networks including disconnected pairs and zero-length
+edges.  (The module name dates from the retired bidirectional search,
+whose cases it keeps.)
 """
 
 import math
@@ -20,10 +23,20 @@ from repro.roadnet.shortest_path import (
     LandmarkIndex,
     SearchStats,
     astar,
-    bidi_astar,
     combined_heuristic,
     dijkstra,
 )
+
+
+def alt_astar(network, source, target, landmarks=None, stats=None):
+    """A* under ``max(euclidean, ALT)``, as the routing engine runs it."""
+    return astar(
+        network,
+        source,
+        target,
+        heuristic=combined_heuristic(network, target, landmarks),
+        stats=stats,
+    )
 
 
 def random_network(seed: int, n: int = 30, extra_edges: int = 50) -> RoadNetwork:
@@ -76,8 +89,8 @@ class TestDistanceIdentity:
         for __ in range(60):
             a, b = (int(x) for x in rng.choice(nodes, size=2))
             d_uni, p_uni = dijkstra(city, a, b)
-            d_plain, p_plain = bidi_astar(city, a, b)
-            d_alt, p_alt = bidi_astar(city, a, b, landmarks=city_landmarks)
+            d_plain, p_plain = alt_astar(city, a, b)
+            d_alt, p_alt = alt_astar(city, a, b, landmarks=city_landmarks)
             assert d_plain == d_uni
             assert d_alt == d_uni
             assert p_plain == p_uni
@@ -86,57 +99,41 @@ class TestDistanceIdentity:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dijkstra_on_random_networks(self, seed):
         net = random_network(seed)
+        landmarks = LandmarkIndex.build(net, 4)
         node_ids = [n.node_id for n in net.nodes()]
         rng = random.Random(seed + 100)
         disconnected = 0
         for __ in range(40):
             a, b = rng.choice(node_ids), rng.choice(node_ids)
             d_uni, p_uni = dijkstra(net, a, b)
-            d_bidi, p_bidi = bidi_astar(net, a, b)
+            d_alt, p_alt = alt_astar(net, a, b, landmarks=landmarks)
             if math.isinf(d_uni):
                 disconnected += 1
-                assert math.isinf(d_bidi)
-                assert p_bidi == []
+                assert math.isinf(d_alt)
+                assert p_alt == []
             else:
-                assert d_bidi == d_uni
-                assert p_bidi == p_uni
+                assert d_alt == d_uni
+                assert p_alt == p_uni
         # The generator must actually have produced unreachable pairs,
         # otherwise this test silently stopped covering them.
         assert disconnected > 0
 
-    def test_source_equals_target(self, city):
-        assert bidi_astar(city, 3, 3) == (0.0, [3])
+    def test_source_equals_target(self, city, city_landmarks):
+        assert alt_astar(city, 3, 3, landmarks=city_landmarks) == (0.0, [3])
 
     def test_unreachable_isolated_node(self):
         net = manhattan_line(4)
         net.add_node(RoadNode(99, Point(0, 9_999)))
-        d, path = bidi_astar(net, 0, 99)
+        d, path = alt_astar(net, 0, 99, landmarks=LandmarkIndex.build(net, 2))
         assert math.isinf(d)
         assert path == []
-
-    def test_bounded_distance_semantics(self, city, city_landmarks):
-        """``max_distance`` bounds the *returned* distance, like the oracle
-        tables: reachable-but-far pairs read as inf."""
-        rng = np.random.default_rng(6)
-        nodes = [n.node_id for n in city.nodes()]
-        for __ in range(40):
-            a, b = (int(x) for x in rng.choice(nodes, size=2))
-            d_full, __p = dijkstra(city, a, b)
-            d_bound, p_bound = bidi_astar(
-                city, a, b, max_distance=1_200.0, landmarks=city_landmarks
-            )
-            if d_full <= 1_200.0:
-                assert d_bound == d_full
-            else:
-                assert math.isinf(d_bound)
-                assert p_bound == []
 
 
 class TestCanonicalTieBreak:
     def test_identical_node_paths_on_tie_heavy_grid(self):
-        """A jitter-free grid is packed with equal-length alternatives; the
-        bidirectional search must still return the unidirectional search's
-        canonical (min-id predecessor) path, node for node."""
+        """A jitter-free grid is packed with equal-length alternatives; ALT-A*
+        must still return Dijkstra's canonical (min-id predecessor) path,
+        node for node."""
         net = grid_city(
             GridCityConfig(nx=6, ny=6, jitter=0.0, drop_fraction=0.0),
             np.random.default_rng(0),
@@ -146,13 +143,11 @@ class TestCanonicalTieBreak:
         for a in nodes[::5]:
             for b in nodes[::7]:
                 d_uni, p_uni = dijkstra(net, a, b)
-                d_astar, p_astar = astar(
-                    net, a, b, heuristic=combined_heuristic(net, b, landmarks)
-                )
-                d_bidi, p_bidi = bidi_astar(net, a, b, landmarks=landmarks)
-                assert p_astar == p_uni
-                assert p_bidi == p_uni
-                assert d_bidi == d_uni == d_astar
+                d_euclid, p_euclid = astar(net, a, b)
+                d_alt, p_alt = alt_astar(net, a, b, landmarks=landmarks)
+                assert p_euclid == p_uni
+                assert p_alt == p_uni
+                assert d_alt == d_uni == d_euclid
 
     def test_zero_length_edges(self):
         """Coincident nodes joined by zero-length segments create zero-cost
@@ -166,16 +161,17 @@ class TestCanonicalTieBreak:
         net.add_segment(RoadSegment.build(1, 1, 0, [p0, p0], speed_limit=10.0))
         net.add_segment(RoadSegment.build(2, 1, 2, [p0, p1], speed_limit=10.0))
         net.add_segment(RoadSegment.build(3, 2, 1, [p1, p0], speed_limit=10.0))
+        landmarks = LandmarkIndex.build(net, 2)
         for a in (0, 1, 2):
             for b in (0, 1, 2):
                 d_uni, p_uni = dijkstra(net, a, b)
-                d_bidi, p_bidi = bidi_astar(net, a, b)
-                assert d_bidi == d_uni
-                assert p_bidi == p_uni
+                d_alt, p_alt = alt_astar(net, a, b, landmarks=landmarks)
+                assert d_alt == d_uni
+                assert p_alt == p_uni
 
     def test_parallel_segments_keep_cheapest(self):
         """Parallel edges of different lengths: the path must thread the
-        cheapest, exactly as the unidirectional search does."""
+        cheapest, exactly as Dijkstra does."""
         p0, p1 = Point(0, 0), Point(100, 0)
         detour = Point(50, 80)
         net = RoadNetwork()
@@ -184,19 +180,19 @@ class TestCanonicalTieBreak:
         net.add_segment(RoadSegment.build(0, 0, 1, [p0, detour, p1], speed_limit=10.0))
         net.add_segment(RoadSegment.build(1, 0, 1, [p0, p1], speed_limit=10.0))
         d_uni, p_uni = dijkstra(net, 0, 1)
-        d_bidi, p_bidi = bidi_astar(net, 0, 1)
-        assert d_bidi == d_uni == 100.0
-        assert p_bidi == p_uni == [0, 1]
+        d_alt, p_alt = alt_astar(net, 0, 1, landmarks=LandmarkIndex.build(net, 2))
+        assert d_alt == d_uni == 100.0
+        assert p_alt == p_uni == [0, 1]
 
 
 class TestStats:
     def test_settles_fewer_nodes_than_dijkstra(self, city, city_landmarks):
-        """The point of the exercise: meet-in-the-middle with ALT potentials
-        must search a smaller volume than plain Dijkstra on long pairs."""
+        """The point of the landmarks: ALT potentials must search a smaller
+        volume than plain Dijkstra on long pairs."""
         nodes = sorted(n.node_id for n in city.nodes())
         pairs = [(nodes[0], nodes[-1]), (nodes[2], nodes[-3]), (nodes[5], nodes[-1])]
-        s_uni, s_bidi = SearchStats(), SearchStats()
+        s_uni, s_alt = SearchStats(), SearchStats()
         for a, b in pairs:
             dijkstra(city, a, b, stats=s_uni)
-            bidi_astar(city, a, b, landmarks=city_landmarks, stats=s_bidi)
-        assert s_bidi.settled < s_uni.settled
+            alt_astar(city, a, b, landmarks=city_landmarks, stats=s_alt)
+        assert s_alt.settled < s_uni.settled

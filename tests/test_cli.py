@@ -336,20 +336,19 @@ class TestCommands:
         )
         assert not (world / "landmarks.json").exists()
 
-    def test_infer_routing_tiers_identical(self, world_dir, capsys):
-        def route_lines(text):
-            return [line for line in text.splitlines() if "log-score" in line]
-
-        base = ["infer", "--world", str(world_dir), "--query", "0"]
-        outputs = {}
-        for tier in ("astar", "bidi", "table"):
-            assert main(base + ["--routing", tier]) == 0
-            outputs[tier] = route_lines(capsys.readouterr().out)
-        assert outputs["astar"]
-        for tier in ("bidi", "table"):
-            assert outputs[tier] == outputs["astar"]
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(base + ["--routing", "ch"])
+    def test_routing_flag_retired(self, world_dir):
+        """One routing path is left, so ``--routing`` (and its old tier
+        names) is an argparse error on every command that took it."""
+        world = str(world_dir)
+        for base in (
+            ["infer", "--world", world, "--query", "0"],
+            ["evaluate", "--world", world],
+            ["serve", "--world", world],
+        ):
+            build_parser().parse_args(base)  # parses without the flag
+            for tier in ("astar", "bidi", "table", "ch"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(base + ["--routing", tier])
 
 
 class TestServeCommand:

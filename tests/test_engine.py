@@ -11,6 +11,16 @@ import numpy as np
 import pytest
 
 from repro.core.system import HRIS, HRISConfig
+from repro.mapmatching import (
+    HMMConfig,
+    HMMMatcher,
+    IncrementalConfig,
+    IncrementalMatcher,
+    IVMMConfig,
+    IVMMMatcher,
+    STMatcher,
+    STMatchingConfig,
+)
 from repro.roadnet.cache import CacheStats, LRUCache
 from repro.roadnet.engine import EngineConfig, RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city
@@ -21,9 +31,11 @@ from repro.roadnet.shortest_path import (
     combined_heuristic,
     dijkstra,
     dijkstra_all,
+    shortest_route_between_nodes,
     shortest_route_between_segments,
 )
 from repro.trajectory.resample import downsample
+from repro.trajectory.simulate import DriveConfig, drive_route
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +164,11 @@ class TestDistanceOracle:
         bounded.distance(s2, t)  # evicts s1's table
         assert bounded.distance(s1, t) == first == unbounded.distance(s1, t)
 
+    def test_incremental_bound_lifted_into_config(self, cities):
+        cfg = IncrementalConfig(max_route_distance=1_234.0)
+        matcher = IncrementalMatcher(cities[0], cfg)
+        assert matcher._oracle._max_distance == 1_234.0
+
 
 class TestRoutingEngine:
     def test_routes_match_plain_function(self, cities):
@@ -179,6 +196,58 @@ class TestRoutingEngine:
         assert [c.segment.segment_id for c in first] == [
             c.segment.segment_id for c in net.candidate_edges(p, 60.0)
         ]
+
+
+class TestMatcherIdentity:
+    """Every matcher must match identically through a routing engine:
+    the engine shares work (candidates, stitch bridges, transition
+    distances), it never changes an answer."""
+
+    @pytest.fixture(scope="class")
+    def city(self):
+        return grid_city(
+            GridCityConfig(nx=9, ny=9, drop_fraction=0.1, one_way_fraction=0.15),
+            np.random.default_rng(23),
+        )
+
+    @pytest.fixture(scope="class")
+    def trajectory(self, city):
+        __, route = shortest_route_between_nodes(city, 0, 80)
+        drive = drive_route(
+            city,
+            route,
+            traj_id=1,
+            config=DriveConfig(sample_interval_s=20.0, gps_sigma_m=10.0),
+            rng=np.random.default_rng(3),
+        )
+        return drive.trajectory
+
+    FACTORIES = [
+        lambda net, eng: HMMMatcher(net, HMMConfig(), engine=eng),
+        lambda net, eng: IVMMMatcher(net, IVMMConfig(), engine=eng),
+        lambda net, eng: STMatcher(net, STMatchingConfig(), engine=eng),
+        lambda net, eng: IncrementalMatcher(net, IncrementalConfig(), engine=eng),
+    ]
+
+    @pytest.mark.parametrize(
+        "factory", FACTORIES, ids=["hmm", "ivmm", "st", "incremental"]
+    )
+    def test_engine_matches_no_engine(self, city, trajectory, factory):
+        plain = factory(city, None).match(trajectory)
+        engined = factory(city, RoutingEngine(city)).match(trajectory)
+        assert engined.route.segment_ids == plain.route.segment_ids
+        assert [
+            None if c is None else c.segment.segment_id for c in engined.matched
+        ] == [None if c is None else c.segment.segment_id for c in plain.matched]
+
+    def test_engine_stats_show_oracle_traffic(self, city, trajectory):
+        engine = RoutingEngine(city)
+        for factory in self.FACTORIES:
+            factory(city, engine).match(trajectory)
+        stats = engine.stats()
+        assert stats.oracle.hits > 0  # the seed engine reported zeros here
+        assert stats.oracle.misses > 0
+        assert stats.settled_nodes > 0
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Unit tests for the nearest-neighbor inference (Algorithm 2)."""
 
+import math
+
 import pytest
 
 from repro.core.nni import NearestNeighborInference, NNIConfig
@@ -33,6 +35,11 @@ class TestConfig:
             NNIConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             NNIConfig(beta=0.9)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            NNIConfig(**{name: math.nan})
 
 
 class TestPoolDedup:

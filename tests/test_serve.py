@@ -345,7 +345,7 @@ class TestMetrics:
 
     def test_engine_counters_for_hris_backends(self, world):
         """HRIS-backed gateways expose the routing-engine counters —
-        settled nodes, cache hit/miss, oracle sweeps — summed
+        settled nodes and cache hits/misses — summed
         across workers; stub backends (above) omit the key entirely."""
         scenario, hris, queries, direct = world
         gateway = InferenceGateway(hris_backends(hris, 2), GatewayConfig())
@@ -366,8 +366,6 @@ class TestMetrics:
         for key in (
             "searches",
             "settled_nodes",
-            "sweeps",
-            "fallback_searches",
             "route_cache_hits",
             "route_cache_misses",
             "route_cache_evictions",

@@ -1,10 +1,13 @@
 """Unit tests for the HRIS system facade."""
 
+import math
+
 import pytest
 
 from repro.core.system import HRIS, HRISConfig, HRISMatcher
 from repro.eval.metrics import precision_recall, route_accuracy
-from repro.trajectory.model import Trajectory
+from repro.geo.point import Point
+from repro.trajectory.model import GPSPoint, Trajectory
 from repro.trajectory.resample import downsample
 
 
@@ -43,12 +46,89 @@ class TestConfig:
         assert cfg.nni_config().alpha == 100.0
         assert cfg.reference_config().phi == cfg.phi
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            *[
+                (name, math.nan)
+                for name in (
+                    "phi",
+                    "tau",
+                    "alpha",
+                    "beta",
+                    "candidate_radius",
+                    "splice_epsilon",
+                    "entropy_floor",
+                    "max_detour_ratio",
+                    "time_of_day_window_s",
+                )
+            ],
+            ("phi", -1.0),
+            ("candidate_radius", -1.0),
+            ("splice_epsilon", -1.0),
+            ("time_of_day_window_s", 0.0),
+            ("time_of_day_window_s", -60.0),
+            ("time_of_day_window_s", math.inf),
+            ("max_references", 0),
+            ("k1", 0),
+            ("k2", 0),
+            ("k3", 0),
+        ],
+    )
+    def test_rejects_values_that_degrade_every_query(self, name, value):
+        """Accepted, each of these would quietly answer with fewer (or
+        fallback-only) routes instead of an error."""
+        with pytest.raises(ValueError, match=name):
+            HRISConfig(**{name: value})
+
+    def test_zero_values_stay_legal(self):
+        HRISConfig(
+            tau=0.0,
+            alpha=0.0,
+            n_landmarks=0,
+            route_cache_size=0,
+            candidate_cache_size=0,
+            support_cache_size=0,
+            oracle_cache_size=0,
+        )
+
+
+def _with_point(query: Trajectory, index: int, x: float, y: float, t: float):
+    """``query`` with one observation replaced, bypassing ``Trajectory.build``
+    (as a caller constructing the dataclass directly would)."""
+    points = list(query.points)
+    points[index] = GPSPoint(Point(x, y), t)
+    return Trajectory(query.traj_id, tuple(points))
+
 
 class TestInference:
     def test_short_query_raises(self, hris, corridor_world):
         single = corridor_world.query.slice(0, 0)
         with pytest.raises(ValueError):
             hris.infer_routes(single)
+
+    @pytest.mark.parametrize(
+        "coord", ["x_nan", "x_inf", "y_nan", "y_ninf", "t_nan", "t_inf"]
+    )
+    def test_non_finite_query_raises(self, hris, low_query, coord):
+        """Rejected up front: downstream, a NaN x reads as "network not
+        connected" and an inf x still gets scored routes."""
+        p = low_query[1]
+        x, y, t = p.x, p.y, p.t
+        bad = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf}[
+            coord.split("_")[1]
+        ]
+        if coord[0] == "x":
+            x = bad
+        elif coord[0] == "y":
+            y = bad
+        else:
+            t = bad
+        query = _with_point(low_query, 1, x, y, t)
+        with pytest.raises(ValueError, match="not finite"):
+            hris.infer_routes(query)
+        with pytest.raises(ValueError, match="not finite"):
+            hris.infer_routes_batch([low_query, query], workers=2)
 
     def test_returns_k_routes(self, hris, low_query):
         routes = hris.infer_routes(low_query, 3)

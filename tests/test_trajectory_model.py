@@ -49,6 +49,14 @@ class TestTrajectoryConstruction:
         with pytest.raises(ValueError):
             traj([(0, 0, 5.0), (1, 0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_raises(self, bad, slot):
+        row = [100.0, 0.0, 10.0]
+        row[slot] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            traj([(0, 0, 0.0), tuple(row)])
+
     def test_single_point_ok(self):
         t = traj([(0, 0, 0.0)])
         assert len(t) == 1

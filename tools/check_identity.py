@@ -21,7 +21,7 @@ nothing).
 **Live mode**: build the named configuration and the seed baseline on the
 standard scenario, infer every query through both, and diff the routes::
 
-    PYTHONPATH=src python tools/check_identity.py --config table_oracle --queries 8
+    PYTHONPATH=src python tools/check_identity.py --config no_landmarks --queries 8
 
 Configurations are named in ``_configs``; each is expected to be
 results-identical to the seed by construction.  ``remote`` spins up a
@@ -51,8 +51,6 @@ def _configs():
 
     return {
         "engine": HRISConfig(),
-        "bidirectional": HRISConfig(shortest_path="bidi"),
-        "table_oracle": HRISConfig(transition_oracle="table", shortest_path="bidi"),
         "no_landmarks": HRISConfig(n_landmarks=0),
         # Range queries served by a loopback shard fleet; check_live swaps
         # the archive for a RemoteShardedArchive.

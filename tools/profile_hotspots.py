@@ -6,16 +6,15 @@ tool answers *where the time goes*.  It builds the standard evaluation
 scenario, runs every query through the chosen configuration under
 cProfile, and prints the top functions by cumulative time::
 
-    PYTHONPATH=src python tools/profile_hotspots.py --config table_oracle --top 25
-    PYTHONPATH=src python tools/profile_hotspots.py --config engine \
+    PYTHONPATH=src python tools/profile_hotspots.py --top 25
+    PYTHONPATH=src python tools/profile_hotspots.py --config no_landmarks \
         --sort tottime
 
 Configurations are the same named set as ``tools/check_identity.py``
-(``engine``, ``bidirectional``, ``table_oracle``, ``no_landmarks``),
-so a profile always corresponds to an identity-gated configuration.
-``--matcher`` profiles HMM map-matching on a grid city instead of the
-inference scenario — the workload where the transition oracles
-(``per_pair`` vs ``table``) differ most.
+(``engine``, ``no_landmarks``, ...), so a profile always corresponds to
+an identity-gated configuration.  ``--matcher`` profiles HMM map-matching
+of long drives on a grid city through the default engine instead of the
+inference scenario.
 
 Caveat: cProfile charges a fixed overhead per function call, which
 inflates configurations that make many cheap calls relative to those
@@ -71,19 +70,13 @@ def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
     import numpy as np
 
     from repro.mapmatching.hmm import HMMConfig, HMMMatcher
-    from repro.roadnet.engine import EngineConfig, RoutingEngine
+    from repro.roadnet.engine import RoutingEngine
     from repro.roadnet.generators import GridCityConfig, grid_city
     from repro.roadnet.shortest_path import shortest_route_between_nodes
     from repro.trajectory.simulate import DriveConfig, drive_route
 
-    engine_cfgs = {
-        "engine": EngineConfig(),
-        "table_oracle": EngineConfig(transition_oracle="table", shortest_path="bidi"),
-    }
-    if config_name not in engine_cfgs:
-        raise SystemExit(
-            f"--matcher supports configs {sorted(engine_cfgs)}, not {config_name!r}"
-        )
+    if config_name != "engine":
+        raise SystemExit(f"--matcher supports config 'engine' only, not {config_name!r}")
     city = grid_city(
         GridCityConfig(nx=grid_n, ny=grid_n, drop_fraction=0.08, one_way_fraction=0.1),
         np.random.default_rng(41),
@@ -104,7 +97,7 @@ def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
             rng=np.random.default_rng(100 + k),
         )
         trajs.append(drive.trajectory)
-    engine = RoutingEngine(city, engine_cfgs[config_name])
+    engine = RoutingEngine(city)
     matcher = HMMMatcher(city, HMMConfig(), engine=engine)
 
     def run():
@@ -118,7 +111,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
-        default="table_oracle",
+        default="engine",
         help="configuration name (see tools/check_identity.py)",
     )
     parser.add_argument(
